@@ -7,8 +7,8 @@ JSON artefacts at the repository root:
 * ``BENCH_kernel.json`` — serial unit throughput (accesses/second) of
   the reference and vector kernels on two single-core workloads (a
   hot-loop, L1-resident stream and the miss-heavy ``mcf`` model), plus
-  the :class:`~repro.traces.trace.MemoryAccess` build-time/memory
-  comparison against a legacy ``__dict__``-based record layout.
+  the :class:`~repro.traces.trace.MemoryAccess` build rate and
+  per-record size.
 * ``BENCH_sweep.json`` — end-to-end sweep throughput (cells/second) of
   a small policy × mix matrix at the bench experiment scale, run
   directly through :func:`repro.sim.runner.run_mix` (no result cache,
@@ -294,50 +294,27 @@ def sweep_throughput(mode: str) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# MemoryAccess layout report (slots vs legacy dict-based records)
+# MemoryAccess build report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LegacyMemoryAccess:
-    """Pre-optimisation record layout: ``__dict__``-backed, block
-    recomputed on every use instead of precomputed at construction."""
-
-    pc: int
-    address: int
-    is_write: bool = False
-    instr_gap: int = 1
-    dependent: bool = False
-
-    @property
-    def block(self) -> int:
-        return self.address >> 6
-
-
 def trace_build_report(num_accesses: int) -> Dict:
-    """Build-time and per-record memory of the two record layouts."""
+    """Build rate and per-record memory of :class:`MemoryAccess`, and the
+    rate at which :meth:`Trace.as_arrays` builds its column views."""
     from repro.traces.trace import MemoryAccess
 
-    def build(cls) -> Tuple[float, object]:
-        start = time.perf_counter()
-        records = [cls(pc=i & 0xFFFF, address=i * 64, is_write=bool(i & 1))
-                   for i in range(num_accesses)]
-        return time.perf_counter() - start, records[0]
-
-    t_slots, slots_rec = build(MemoryAccess)
-    t_legacy, legacy_rec = build(_LegacyMemoryAccess)
-    trace = Trace("bench_build", [
-        MemoryAccess(pc=i & 0xFFFF, address=i * 64)
-        for i in range(num_accesses)])
+    start = time.perf_counter()
+    records = [MemoryAccess(pc=i & 0xFFFF, address=i * 64,
+                            is_write=bool(i & 1))
+               for i in range(num_accesses)]
+    t_build = time.perf_counter() - start
+    trace = Trace("bench_build", records)
     start = time.perf_counter()
     trace.as_arrays()
     t_arrays = time.perf_counter() - start
     return {
         "accesses": num_accesses,
-        "slots_bytes_per_record": sys.getsizeof(slots_rec),
-        "legacy_bytes_per_record": (sys.getsizeof(legacy_rec)
-                                    + sys.getsizeof(legacy_rec.__dict__)),
-        "slots_build_acc_per_s": round(num_accesses / t_slots, 1),
-        "legacy_build_acc_per_s": round(num_accesses / t_legacy, 1),
+        "slots_bytes_per_record": sys.getsizeof(records[0]),
+        "slots_build_acc_per_s": round(num_accesses / t_build, 1),
         "as_arrays_acc_per_s": round(num_accesses / t_arrays, 1),
     }
 

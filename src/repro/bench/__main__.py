@@ -51,10 +51,8 @@ def main(argv=None) -> int:
               f"{row['vector_acc_per_s']:,.0f} acc/s "
               f"({row['speedup']:.2f}x)")
     build = summary["trace_build"]
-    print(f"  trace build: slots {build['slots_bytes_per_record']} "
-          f"B/record @ {build['slots_build_acc_per_s']:,.0f}/s, legacy "
-          f"{build['legacy_bytes_per_record']} B/record @ "
-          f"{build['legacy_build_acc_per_s']:,.0f}/s")
+    print(f"  trace build: {build['slots_bytes_per_record']} B/record @ "
+          f"{build['slots_build_acc_per_s']:,.0f}/s")
     if summary["sweep"] is not None:
         sweep = summary["sweep"]
         print(f"  sweep ({sweep['cells']} cells): reference "

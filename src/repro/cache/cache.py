@@ -2,7 +2,9 @@
 
 The cache is purely functional state (lookup / access / fill / invalidate);
 latency and ordering live in :mod:`repro.cache.hierarchy` and the CPU
-timing model.  Replacement policies receive hook calls:
+timing model.  Lookups go through a per-set ``{block: way}`` map kept by
+:meth:`Cache.fill` and :meth:`Cache.invalidate`, the only places a line's
+tag or valid bit changes.  Replacement policies receive hook calls:
 
 * ``access(set_idx, ctx, hit, way)`` on every access routed to the cache,
 * ``choose_victim(set_idx, blocks, ctx)`` when a fill needs a way
@@ -16,7 +18,7 @@ timing model.  Replacement policies receive hook calls:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -107,6 +109,8 @@ class Cache:
         self._sets: List[List[CacheBlock]] = [
             [CacheBlock() for _ in range(num_ways)] for _ in range(num_sets)
         ]
+        # Valid lines of each set, block -> way.
+        self._ways: List[Dict[int, int]] = [{} for _ in range(num_sets)]
         self._set_mask = num_sets - 1
         self.track_set_stats = track_set_stats
         if track_set_stats:
@@ -128,10 +132,7 @@ class Cache:
 
     def find_way(self, set_idx: int, block: int) -> Optional[int]:
         """Way holding *block* in *set_idx*, or None (no side effects)."""
-        for way, line in enumerate(self._sets[set_idx]):
-            if line.valid and line.block == block:
-                return way
-        return None
+        return self._ways[set_idx].get(block)
 
     def contains(self, block: int) -> bool:
         return self.find_way(self.set_index(block), block) is not None
@@ -145,8 +146,8 @@ class Cache:
         Does not fill on a miss — the hierarchy fills after the lower
         levels respond, via :meth:`fill`.
         """
-        set_idx = self.set_index(ctx.block)
-        way = self.find_way(set_idx, ctx.block)
+        set_idx = ctx.block & self._set_mask
+        way = self._ways[set_idx].get(ctx.block)
         hit = way is not None
 
         self.stats.accesses += 1
@@ -185,12 +186,13 @@ class Cache:
         bypass); ``extra_latency`` is the policy's fill-path overhead in
         cycles (zero for conventional policies).
         """
-        set_idx = self.set_index(ctx.block)
+        set_idx = ctx.block & self._set_mask
         blocks = self._sets[set_idx]
+        ways = self._ways[set_idx]
 
         # Refilling a resident block (e.g. a writeback-allocate racing a
         # demand fill) just refreshes the line.
-        existing = self.find_way(set_idx, ctx.block)
+        existing = ways.get(ctx.block)
         if existing is not None:
             line = blocks[existing]
             line.last_touch = ctx.cycle
@@ -207,6 +209,7 @@ class Cache:
         evicted = None
         if line.valid:
             self.policy.on_evict(set_idx, victim_way, line, ctx)
+            del ways[line.block]
             evicted = EvictedBlock(block=line.block, dirty=line.dirty,
                                    pc=line.pc, core_id=line.core_id)
             self.stats.evictions += 1
@@ -214,6 +217,7 @@ class Cache:
                 self.stats.writebacks_out += 1
 
         line.fill(ctx)
+        ways[ctx.block] = victim_way
         self.stats.fills += 1
         if ctx.is_writeback:
             self.stats.writeback_fills += 1
@@ -223,8 +227,8 @@ class Cache:
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if present; returns True if it was resident."""
-        set_idx = self.set_index(block)
-        way = self.find_way(set_idx, block)
+        set_idx = block & self._set_mask
+        way = self._ways[set_idx].pop(block, None)
         if way is None:
             return False
         self._sets[set_idx][way].reset()
@@ -232,7 +236,7 @@ class Cache:
 
     def occupancy(self) -> float:
         """Fraction of ways currently valid (diagnostics)."""
-        valid = sum(line.valid for s in self._sets for line in s)
+        valid = sum(len(ways) for ways in self._ways)
         return valid / (self.num_sets * self.num_ways)
 
     def __repr__(self) -> str:

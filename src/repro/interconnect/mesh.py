@@ -11,7 +11,7 @@ when Drishti's messages ride the existing mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.interconnect.topology import MeshTopology
 
@@ -50,6 +50,10 @@ class MeshNoC:
         injection_cycles: fixed NI inject+eject cost per message.
         congestion_per_node: extra cycles per hop per unit of normalised
             load, a first-order contention term that grows with core count.
+
+    Latency is a pure function of (src, dst) for fixed parameters, so the
+    constructor tabulates ``(hops, latency)`` for every ordered pair and
+    :meth:`latency` is a bounds check plus one lookup.
     """
 
     def __init__(self, num_nodes: int, router_cycles: int = 2,
@@ -61,6 +65,14 @@ class MeshNoC:
         self.injection_cycles = injection_cycles
         self.congestion_per_node = congestion_per_node
         self.stats = NoCStats()
+        self._routes: List[Tuple[int, int]] = []
+        for src in range(num_nodes):
+            for dst in range(num_nodes):
+                hops = self.topology.hops(src, dst)
+                congestion = int(round(hops * congestion_per_node *
+                                       num_nodes))
+                self._routes.append(
+                    (hops, self.base_latency(src, dst) + congestion))
 
     def base_latency(self, src: int, dst: int) -> int:
         """Uncontended latency from *src* to *dst* in cycles."""
@@ -72,10 +84,11 @@ class MeshNoC:
 
     def latency(self, src: int, dst: int, traffic_class: str = "data") -> int:
         """Latency with the first-order congestion term; counts traffic."""
-        hops = self.topology.hops(src, dst)
-        congestion = int(round(hops * self.congestion_per_node *
-                               self.topology.num_nodes))
-        lat = self.base_latency(src, dst) + congestion
+        n = self.topology.num_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(
+                f"node pair ({src}, {dst}) out of range [0, {n})")
+        hops, lat = self._routes[src * n + dst]
         self.stats.count(traffic_class, hops, lat)
         return lat
 

@@ -366,16 +366,21 @@ class SyntheticWorkload:
             accept_rate *= (hi - lo) / self.num_sets
         needed = int(size / max(accept_rate, 1e-6) * 2) + 64
         needed = min(needed, 4_000_000)
+        # The draw count fixes the generator state after this call, so it
+        # must not depend on how the candidates are filtered below.
         candidates = base + self._rng.integers(
             0, self.REGION_ALIGN_BLOCKS // 2, size=needed, dtype=np.uint64)
-        mask = np.ones(len(candidates), dtype=bool)
-        if home_slice is not None:
-            mask &= self.hash.slices_of(candidates) == home_slice
+        # Filter by set band before hashing: the band test is a mask and a
+        # compare, the slice hash is a 64-bit mix, and both are per-element
+        # so the survivors (and their order) are the same either way.
         if skew_band is not None:
             lo, hi = skew_band
             set_idx = candidates.astype(np.int64) & (self.num_sets - 1)
-            mask &= (set_idx >= lo) & (set_idx < hi)
-        pool = np.unique(candidates[mask])
+            candidates = candidates[(set_idx >= lo) & (set_idx < hi)]
+        if home_slice is not None:
+            candidates = candidates[
+                self.hash.slices_of(candidates) == home_slice]
+        pool = np.unique(candidates)
         if len(pool) < size:
             # Extremely constrained pool: tile what we have.
             if len(pool) == 0:

@@ -1,11 +1,17 @@
 """Tests for the generic set-associative cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.block import DEMAND, PREFETCH, WRITEBACK, AccessContext
 from repro.cache.cache import Cache
+from repro.core.sampled_sets import ExplicitSampledSets
 from repro.replacement.base import ReplacementPolicy
+from repro.replacement.hawkeye import HawkeyePolicy
 from repro.replacement.lru import LRUPolicy
+from repro.replacement.mockingjay import MockingjayPolicy
+from repro.replacement.rrip import SRRIPPolicy
 
 
 def ctx(block, pc=0x400, core=0, write=False, kind=DEMAND, cycle=0):
@@ -179,3 +185,73 @@ class TestBypass:
         assert extra == 5
         assert not c.contains(0)
         assert c.stats.bypasses == 1
+
+
+# ---------------------------------------------------------------------------
+# The per-set tag map behind find_way, checked against a linear scan
+# ---------------------------------------------------------------------------
+
+MAP_SETS, MAP_WAYS, MAP_BLOCKS = 4, 2, 24
+
+
+class OddPCBypassLRU(LRUPolicy):
+    """LRU that bypasses every fill from an odd PC."""
+
+    def choose_victim(self, set_idx, blocks, ctx):
+        if ctx.pc & 1:
+            return self.BYPASS
+        return super().choose_victim(set_idx, blocks, ctx)
+
+
+def _sampled(policy_cls):
+    return lambda s, w: policy_cls(
+        s, w, selector=ExplicitSampledSets(s, [0, 1]), seed=0)
+
+
+MAP_POLICIES = {
+    "lru": LRUPolicy,
+    "srrip": SRRIPPolicy,
+    "hawkeye": _sampled(HawkeyePolicy),
+    "mockingjay": _sampled(MockingjayPolicy),
+    "odd-pc-bypass": OddPCBypassLRU,
+}
+
+map_ops = st.lists(st.tuples(
+    st.sampled_from(["access", "fill", "invalidate"]),
+    st.integers(0, MAP_BLOCKS - 1),
+    st.sampled_from([DEMAND, PREFETCH, WRITEBACK]),
+    st.booleans(),
+    st.integers(0, 3)), max_size=80)
+
+
+def scan_way(cache, set_idx, block):
+    """The linear tag scan the map replaced: the reference answer."""
+    for way, line in enumerate(cache.blocks_in_set(set_idx)):
+        if line.valid and line.block == block:
+            return way
+    return None
+
+
+class TestTagMap:
+    @pytest.mark.parametrize("policy", sorted(MAP_POLICIES))
+    @settings(max_examples=60, deadline=None)
+    @given(ops=map_ops)
+    def test_find_way_matches_linear_scan(self, policy, ops):
+        c = Cache("t", MAP_SETS, MAP_WAYS,
+                  MAP_POLICIES[policy](MAP_SETS, MAP_WAYS))
+        for cycle, (op, block, kind, write, pc) in enumerate(ops):
+            context = ctx(block, pc=0x400 + pc, write=write, kind=kind,
+                          cycle=cycle)
+            if op == "access":
+                outcome = c.access(context)
+                assert outcome.way == scan_way(c, block % MAP_SETS, block)
+            elif op == "fill":
+                c.fill(context)
+            else:
+                c.invalidate(block)
+            for set_idx in range(MAP_SETS):
+                for b in range(MAP_BLOCKS):
+                    assert c.find_way(set_idx, b) == scan_way(c, set_idx, b)
+            valid = sum(line.valid for s in range(MAP_SETS)
+                        for line in c.blocks_in_set(s))
+            assert sum(len(ways) for ways in c._ways) == valid

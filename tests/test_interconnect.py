@@ -1,5 +1,7 @@
 """Tests for the mesh topology and NoC latency model."""
 
+import math
+
 import pytest
 
 from repro.interconnect.mesh import MeshNoC
@@ -97,3 +99,50 @@ class TestMeshNoC:
         a = noc.latency(0, 1)
         b = noc.latency(0, 15)
         assert noc.stats.average_latency == pytest.approx((a + b) / 2)
+
+
+def _formula(n, src, dst, router_cycles=2, link_cycles=1,
+             injection_cycles=2, congestion_per_node=0.06):
+    """Row-major XY mesh cost, written out independently of the model."""
+    cols = math.ceil(math.sqrt(n))
+    (r1, c1), (r2, c2) = divmod(src, cols), divmod(dst, cols)
+    hops = abs(r1 - r2) + abs(c1 - c2)
+    base = injection_cycles + hops * (router_cycles + link_cycles)
+    return hops, base, base + int(round(hops * congestion_per_node * n))
+
+
+class TestMeshLatencyTable:
+    """The tabulated latency equals the XY formula on every pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 16, 32, 64])
+    @pytest.mark.parametrize("params", [
+        {}, dict(router_cycles=3, link_cycles=2, injection_cycles=1,
+                 congestion_per_node=0.11)])
+    def test_every_pair_matches_formula(self, n, params):
+        noc = MeshNoC(n, **params)
+        total_hops = total_latency = 0
+        for src in range(n):
+            for dst in range(n):
+                hops, base, lat = _formula(n, src, dst, **params)
+                assert noc.topology.hops(src, dst) == hops
+                assert noc.base_latency(src, dst) == base
+                assert noc.latency(src, dst, traffic_class="t") == lat
+                total_hops += hops
+                total_latency += lat
+        assert noc.stats.messages == n * n
+        assert noc.stats.total_hops == total_hops
+        assert noc.stats.total_latency == total_latency
+        assert noc.stats.by_class == {"t": n * n}
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 16, 32, 64])
+    def test_out_of_range_nodes_raise(self, n):
+        noc = MeshNoC(n)
+        for bad in (-1, n):
+            for src, dst in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(ValueError):
+                    noc.latency(src, dst)
+                with pytest.raises(ValueError):
+                    noc.base_latency(src, dst)
+                with pytest.raises(ValueError):
+                    noc.topology.hops(src, dst)
+        assert noc.stats.messages == 0
