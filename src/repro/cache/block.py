@@ -47,23 +47,14 @@ class CacheBlock:
     """One cache line's bookkeeping state.
 
     Uses ``__slots__``: simulations hold hundreds of thousands of these.
+    A way that holds no line holds the shared :data:`INVALID_LINE`; a
+    cache allocates a ``CacheBlock`` for a way when it first fills it.
     """
 
     __slots__ = ("valid", "block", "dirty", "pc", "core_id", "is_prefetch",
                  "inserted_at", "last_touch")
 
     def __init__(self) -> None:
-        self.valid = False
-        self.block = -1
-        self.dirty = False
-        self.pc = 0
-        self.core_id = -1
-        self.is_prefetch = False
-        self.inserted_at = 0
-        self.last_touch = 0
-
-    def reset(self) -> None:
-        """Invalidate the line."""
         self.valid = False
         self.block = -1
         self.dirty = False
@@ -90,3 +81,32 @@ class CacheBlock:
         flags = "D" if self.dirty else "-"
         flags += "P" if self.is_prefetch else "-"
         return f"CacheBlock(block={self.block:#x}, {flags}, core={self.core_id})"
+
+
+class _ReadOnlyLine(CacheBlock):
+    """A :class:`CacheBlock` with a fresh line's fields that refuses writes."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        fresh = CacheBlock()
+        for name in CacheBlock.__slots__:
+            object.__setattr__(self, name, getattr(fresh, name))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"INVALID_LINE is shared by every empty way; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"INVALID_LINE is shared by every empty way; cannot delete "
+            f"{name!r}")
+
+    def __reduce__(self) -> str:
+        # Copies and unpickled caches point at this module's one line.
+        return "INVALID_LINE"
+
+
+#: The one invalid line every empty way of every cache points at.  Its
+#: fields equal a fresh ``CacheBlock()``'s, and any write to it raises.
+INVALID_LINE: CacheBlock = _ReadOnlyLine()

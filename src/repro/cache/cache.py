@@ -4,7 +4,11 @@ The cache is purely functional state (lookup / access / fill / invalidate);
 latency and ordering live in :mod:`repro.cache.hierarchy` and the CPU
 timing model.  Lookups go through a per-set ``{block: way}`` map kept by
 :meth:`Cache.fill` and :meth:`Cache.invalidate`, the only places a line's
-tag or valid bit changes.  Replacement policies receive hook calls:
+tag or valid bit changes.  An empty way holds the shared, read-only
+:data:`~repro.cache.block.INVALID_LINE`; ``fill`` gives a way its own
+:class:`CacheBlock` when it installs a line there, and ``invalidate``
+puts the shared line back.  The map never points at the shared line.
+Replacement policies receive hook calls:
 
 * ``access(set_idx, ctx, hit, way)`` on every access routed to the cache,
 * ``choose_victim(set_idx, blocks, ctx)`` when a fill needs a way
@@ -22,7 +26,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.cache.block import WRITEBACK, AccessContext, CacheBlock
+from repro.cache.block import (INVALID_LINE, WRITEBACK, AccessContext,
+                               CacheBlock)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.replacement.base import ReplacementPolicy
@@ -107,7 +112,7 @@ class Cache:
         self.policy = policy
         self.stats = CacheStats()
         self._sets: List[List[CacheBlock]] = [
-            [CacheBlock() for _ in range(num_ways)] for _ in range(num_sets)
+            [INVALID_LINE] * num_ways for _ in range(num_sets)
         ]
         # Valid lines of each set, block -> way.
         self._ways: List[Dict[int, int]] = [{} for _ in range(num_sets)]
@@ -215,6 +220,8 @@ class Cache:
             self.stats.evictions += 1
             if line.dirty:
                 self.stats.writebacks_out += 1
+        else:
+            line = blocks[victim_way] = CacheBlock()
 
         line.fill(ctx)
         ways[ctx.block] = victim_way
@@ -231,7 +238,7 @@ class Cache:
         way = self._ways[set_idx].pop(block, None)
         if way is None:
             return False
-        self._sets[set_idx][way].reset()
+        self._sets[set_idx][way] = INVALID_LINE
         return True
 
     def occupancy(self) -> float:

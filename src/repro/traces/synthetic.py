@@ -28,6 +28,7 @@ same-named specs with different parameters can never share results.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
@@ -325,6 +326,8 @@ class SyntheticWorkload:
 
     # Region allocator stride: keep PC regions far apart.
     REGION_ALIGN_BLOCKS = 1 << 22
+    # Candidates drawn per step of the pool sampler's rejection loop.
+    DRAW_CHUNK = 1 << 16
 
     def __init__(self, spec: WorkloadSpec, capacity_blocks: int,
                  num_slices: int, num_sets: int, seed: int = 0,
@@ -368,25 +371,37 @@ class SyntheticWorkload:
         needed = min(needed, 4_000_000)
         # The draw count fixes the generator state after this call, so it
         # must not depend on how the candidates are filtered below.
-        candidates = base + self._rng.integers(
-            0, self.REGION_ALIGN_BLOCKS // 2, size=needed, dtype=np.uint64)
-        # Filter by set band before hashing: the band test is a mask and a
-        # compare, the slice hash is a 64-bit mix, and both are per-element
-        # so the survivors (and their order) are the same either way.
-        if skew_band is not None:
-            lo, hi = skew_band
-            set_idx = candidates.astype(np.int64) & (self.num_sets - 1)
-            candidates = candidates[(set_idx >= lo) & (set_idx < hi)]
-        if home_slice is not None:
-            candidates = candidates[
-                self.hash.slices_of(candidates) == home_slice]
-        pool = np.unique(candidates)
+        # Drawing it in chunks keeps every temporary chunk-sized; a chunked
+        # ``integers`` draw yields the same values and leaves the generator
+        # in the same state as one draw of the full count.
+        survivors: List[np.ndarray] = []
+        for start in range(0, needed, self.DRAW_CHUNK):
+            chunk = self._rng.integers(
+                0, self.REGION_ALIGN_BLOCKS // 2,
+                size=min(self.DRAW_CHUNK, needed - start), dtype=np.uint64)
+            # Band test, then ``base``, then the slice hash, each on the
+            # survivors of the step before.  ``base`` is a multiple of
+            # REGION_ALIGN_BLOCKS, which the (power-of-two) set count
+            # divides, so adding it does not change a set index.
+            if skew_band is not None:
+                set_idx = chunk & (self.num_sets - 1)
+                chunk = chunk[(set_idx >= lo) & (set_idx < hi)]
+            chunk += base
+            if home_slice is not None:
+                chunk = chunk[self.hash.slices_of(chunk) == home_slice]
+            survivors.append(chunk)
+        pool = np.unique(np.concatenate(survivors))
         if len(pool) < size:
             # Extremely constrained pool: tile what we have.
             if len(pool) == 0:
                 raise RuntimeError(
                     f"could not sample pool for {self.spec.name}: "
                     f"constraints too tight")
+            warnings.warn(
+                f"workload {self.spec.name!r}: pool of {size} blocks "
+                f"tiled from only {len(pool)} distinct candidates "
+                f"({self.num_slices} slices, {self.num_sets} sets)",
+                RuntimeWarning, stacklevel=2)
             reps = size // len(pool) + 1
             pool = np.tile(pool, reps)
         pool = pool[:size]

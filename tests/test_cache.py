@@ -1,17 +1,25 @@
 """Tests for the generic set-associative cache."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.block import DEMAND, PREFETCH, WRITEBACK, AccessContext
+from repro.cache.block import (DEMAND, INVALID_LINE, PREFETCH, WRITEBACK,
+                               AccessContext, CacheBlock)
 from repro.cache.cache import Cache
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.sampled_sets import ExplicitSampledSets
 from repro.replacement.base import ReplacementPolicy
 from repro.replacement.hawkeye import HawkeyePolicy
 from repro.replacement.lru import LRUPolicy
 from repro.replacement.mockingjay import MockingjayPolicy
 from repro.replacement.rrip import SRRIPPolicy
+from repro.sim.config import ScaleProfile, SystemConfig
+from repro.sim.simulator import Simulator
+from repro.traces.spec import make_spec_trace
 
 
 def ctx(block, pc=0x400, core=0, write=False, kind=DEMAND, cycle=0):
@@ -232,26 +240,99 @@ def scan_way(cache, set_idx, block):
     return None
 
 
+def map_cache(policy):
+    return Cache("t", MAP_SETS, MAP_WAYS,
+                 MAP_POLICIES[policy](MAP_SETS, MAP_WAYS))
+
+
+def apply_op(c, cycle, op, block, kind, write, pc):
+    """Run one generated step; checks an access's way on the way."""
+    context = ctx(block, pc=0x400 + pc, write=write, kind=kind, cycle=cycle)
+    if op == "access":
+        outcome = c.access(context)
+        assert outcome.way == scan_way(c, block % MAP_SETS, block)
+    elif op == "fill":
+        c.fill(context)
+    else:
+        c.invalidate(block)
+
+
+def assert_shared_line_untouched():
+    """INVALID_LINE still reads as a fresh line and refuses every write."""
+    fresh = CacheBlock()
+    for name in CacheBlock.__slots__:
+        assert getattr(INVALID_LINE, name) == getattr(fresh, name)
+        with pytest.raises(AttributeError):
+            setattr(INVALID_LINE, name, getattr(fresh, name))
+
+
+def allocated_lines(cache):
+    """Lines of *cache* other than the shared invalid line."""
+    return [line for s in range(cache.num_sets)
+            for line in cache.blocks_in_set(s) if line is not INVALID_LINE]
+
+
 class TestTagMap:
     @pytest.mark.parametrize("policy", sorted(MAP_POLICIES))
     @settings(max_examples=60, deadline=None)
     @given(ops=map_ops)
     def test_find_way_matches_linear_scan(self, policy, ops):
-        c = Cache("t", MAP_SETS, MAP_WAYS,
-                  MAP_POLICIES[policy](MAP_SETS, MAP_WAYS))
-        for cycle, (op, block, kind, write, pc) in enumerate(ops):
-            context = ctx(block, pc=0x400 + pc, write=write, kind=kind,
-                          cycle=cycle)
-            if op == "access":
-                outcome = c.access(context)
-                assert outcome.way == scan_way(c, block % MAP_SETS, block)
-            elif op == "fill":
-                c.fill(context)
-            else:
-                c.invalidate(block)
+        c = map_cache(policy)
+        for cycle, step in enumerate(ops):
+            apply_op(c, cycle, *step)
             for set_idx in range(MAP_SETS):
                 for b in range(MAP_BLOCKS):
                     assert c.find_way(set_idx, b) == scan_way(c, set_idx, b)
             valid = sum(line.valid for s in range(MAP_SETS)
                         for line in c.blocks_in_set(s))
             assert sum(len(ways) for ways in c._ways) == valid
+
+    @pytest.mark.parametrize("policy", sorted(MAP_POLICIES))
+    @settings(max_examples=60, deadline=None)
+    @given(ops=map_ops)
+    def test_unmapped_ways_hold_the_shared_invalid_line(self, policy, ops):
+        c = map_cache(policy)
+        for cycle, step in enumerate(ops):
+            apply_op(c, cycle, *step)
+            for set_idx in range(MAP_SETS):
+                mapped = set(c._ways[set_idx].values())
+                for way, line in enumerate(c.blocks_in_set(set_idx)):
+                    if way in mapped:
+                        assert line is not INVALID_LINE and line.valid
+                    else:
+                        assert line is INVALID_LINE and not line.valid
+            assert_shared_line_untouched()
+
+
+class TestSharedInvalidLine:
+    """Ways share one read-only invalid line until their first fill."""
+
+    @staticmethod
+    def system():
+        return SystemConfig.from_profile(16, ScaleProfile.smoke())
+
+    def test_copies_keep_the_one_shared_line(self):
+        c = make_cache(sets=2, ways=2)
+        c.fill(ctx(0))
+        for clone in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert clone.blocks_in_set(0)[1] is INVALID_LINE
+            assert clone.blocks_in_set(1) == [INVALID_LINE] * 2
+            assert clone.contains(0) and clone.blocks_in_set(0)[0].valid
+
+    def test_fresh_hierarchy_allocates_no_lines(self):
+        h = MemoryHierarchy(self.system())
+        for cache in [*h.l1, *h.l2, *h.llc.slices]:
+            assert allocated_lines(cache) == []
+
+    def test_alone_run_leaves_idle_cores_unallocated(self):
+        config = self.system()
+        trace = make_spec_trace("mcf", config.llc_lines_per_core, 16,
+                                config.llc_sets_per_slice, 800, seed=1)
+        sim = Simulator(config, [trace])
+        sim.run()
+        h = sim.hierarchy
+        for core in range(1, 16):
+            assert allocated_lines(h.l1[core]) == []
+            assert allocated_lines(h.l2[core]) == []
+        assert any(allocated_lines(sl) for sl in h.llc.slices)
+        assert_shared_line_untouched()

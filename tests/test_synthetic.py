@@ -2,11 +2,14 @@
 
 import copy
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.cache.slice_hash import SliceHash
+from repro.traces.mixes import resolve_workload
 from repro.traces.synthetic import (
     PCClassSpec,
     SyntheticWorkload,
@@ -157,12 +160,8 @@ class TestPhased:
         assert len(beh.averse_pool) >= 4 * len(beh.pool)
 
 
-def reference_sample_pool(self, size, home_slice, skew_band, contiguous):
-    """``SyntheticWorkload._sample_pool`` as it was before band-first
-    filtering: hash every candidate, then mask by set band."""
-    base = self._alloc_region()
-    if contiguous and home_slice is None and skew_band is None:
-        return np.arange(base, base + size, dtype=np.uint64)
+def reference_draw_count(self, size, home_slice, skew_band):
+    """Candidates the rejection sampler draws for one pool."""
     accept_rate = 1.0
     if home_slice is not None:
         accept_rate /= self.num_slices
@@ -170,7 +169,16 @@ def reference_sample_pool(self, size, home_slice, skew_band, contiguous):
         lo, hi = skew_band
         accept_rate *= (hi - lo) / self.num_sets
     needed = int(size / max(accept_rate, 1e-6) * 2) + 64
-    needed = min(needed, 4_000_000)
+    return min(needed, 4_000_000)
+
+
+def reference_sample_pool(self, size, home_slice, skew_band, contiguous):
+    """``SyntheticWorkload._sample_pool`` as it was before band-first
+    filtering: hash every candidate, then mask by set band."""
+    base = self._alloc_region()
+    if contiguous and home_slice is None and skew_band is None:
+        return np.arange(base, base + size, dtype=np.uint64)
+    needed = reference_draw_count(self, size, home_slice, skew_band)
     candidates = base + self._rng.integers(
         0, self.REGION_ALIGN_BLOCKS // 2, size=needed, dtype=np.uint64)
     mask = np.ones(len(candidates), dtype=bool)
@@ -196,6 +204,27 @@ def _outcome(fn, *args):
         return fn(*args)
     except RuntimeError as exc:
         return exc
+
+
+CHUNK = SyntheticWorkload.DRAW_CHUNK
+
+
+def pool_args_for_draw_count(workload, target, home):
+    """A ``(size, band)`` whose pool draws exactly *target* candidates.
+
+    The draw count is ``int(size / accept_rate * 2) + 64``; with
+    power-of-two geometries only some band widths reach a given count
+    exactly, hence the search over widths."""
+    for width in range(1, workload.num_sets + 1):
+        band = (workload.num_sets - width, workload.num_sets)
+        rate = width / workload.num_sets
+        if home is not None:
+            rate /= workload.num_slices
+        guess = int((target - 64) * rate / 2)
+        for size in range(max(1, guess - 2), guess + 3):
+            if reference_draw_count(workload, size, home, band) == target:
+                return size, band
+    raise AssertionError(f"no pool draws exactly {target} candidates")
 
 
 class TestPoolSamplingIdentity:
@@ -227,3 +256,52 @@ class TestPoolSamplingIdentity:
             assert (workload._rng.bit_generator.state ==
                     twin._rng.bit_generator.state)
             assert workload._next_region == twin._next_region
+
+    @pytest.mark.parametrize("home", [None, 15])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * CHUNK + 5])
+    def test_matches_reference_across_draw_chunks(self, offset, home):
+        """Draw counts just below, at, one past and several chunks past
+        ``DRAW_CHUNK``: the chunked draw equals one full-length draw."""
+        workload = SyntheticWorkload(
+            single_class_spec("cyclic", affinity=0.5, skew=0.25), 1024,
+            num_slices=16, num_sets=128, seed=3)
+        size, band = pool_args_for_draw_count(workload, CHUNK + offset, home)
+        twin = copy.deepcopy(workload)
+        got = workload._sample_pool(size, home, band, False)
+        want = reference_sample_pool(twin, size, home, band, False)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert (workload._rng.bit_generator.state ==
+                twin._rng.bit_generator.state)
+
+
+class TestPoolSamplingMemory:
+    def test_home_band_pool_allocates_chunk_sized_temporaries(self):
+        """A 16-slice home+band ``mcf`` pool draws ~2.6M candidates; the
+        sampler's allocations must stay a few chunks in size."""
+        workload = SyntheticWorkload(resolve_workload("mcf"), 128 * 16,
+                                     num_slices=16, num_sets=128, seed=7)
+        tracemalloc.start()
+        try:
+            workload._sample_pool(8192, 3, (72, 85), contiguous=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestTiledPoolWarning:
+    """A pool with fewer distinct candidates than requested is tiled
+    with repeats; that must not pass silently."""
+
+    def test_32_slice_mcf_warns(self):
+        with pytest.warns(RuntimeWarning, match=r"'mcf': pool of 8192 "
+                          r"blocks tiled from only 5[0-9]{3} distinct"):
+            SyntheticWorkload(resolve_workload("mcf"), 128 * 16,
+                              num_slices=32, num_sets=128, seed=7)
+
+    def test_16_slice_mcf_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            SyntheticWorkload(resolve_workload("mcf"), 128 * 16,
+                              num_slices=16, num_sets=128, seed=7)
