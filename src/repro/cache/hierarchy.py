@@ -225,16 +225,28 @@ class MemoryHierarchy:
             return latency
 
         stats.l2_misses += 1
-        # LLC over the mesh (request + response messages).
-        slice_id = self.llc.slice_of(block)
+        latency = self.llc_demand(core_id, ctx, self.llc.slice_of(block),
+                                  cycle, latency)
+        self._fill_l2(core_id, ctx, cycle)
+        self._fill_l1(core_id, ctx, cycle)
+        return latency
+
+    def llc_demand(self, core_id: int, ctx: AccessContext, slice_id: int,
+                   cycle: int, latency: float) -> float:
+        """The L2-miss half of a demand access; returns *latency* plus
+        the mesh round trip to home slice *slice_id*, the slice access
+        and, on an LLC miss, the in-flight fill or DRAM read it waits
+        for and the LLC fill (a dirty victim is written to DRAM)."""
+        stats = self.core_stats[core_id]
+        block = ctx.block
         latency += self.mesh.latency(core_id, slice_id, traffic_class="llc")
-        latency += cfg.llc_latency
+        latency += self.config.llc_latency
         stats.llc_accesses += 1
         ctx.slice_id = slice_id
-        llc_outcome = self.llc.slices[slice_id].access(ctx)
+        llc_slice = self.llc.slices[slice_id]
+        llc_outcome = llc_slice.access(ctx)
         if llc_outcome.hit:
-            self._credit_prefetch(self.llc.slices[slice_id], block,
-                                  llc_outcome.way, core_id)
+            self._credit_prefetch(llc_slice, block, llc_outcome.way, core_id)
         else:
             stats.llc_misses += 1
             wait = self._pending_wait(block, cycle + latency)
@@ -249,11 +261,8 @@ class MemoryHierarchy:
             evicted, extra = self.llc.fill(ctx)
             latency += extra
             self._handle_llc_eviction(evicted, int(cycle + latency))
-        latency += self.mesh.latency(slice_id, core_id,
-                                     traffic_class="llc")
-        self._fill_l2(core_id, ctx, cycle)
-        self._fill_l1(core_id, ctx, cycle)
-        return latency
+        return latency + self.mesh.latency(slice_id, core_id,
+                                           traffic_class="llc")
 
     def _fill_l1(self, core_id: int, ctx: AccessContext, cycle: int) -> None:
         evicted = self.l1[core_id].fill(ctx)[0]

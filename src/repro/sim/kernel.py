@@ -27,13 +27,18 @@ and the differential property tests):
   into {0: L1 hit, 1: L2 hit, 2: L2 miss} and records, per access, the
   blocks whose dirty evictions the reference path would write back to
   the LLC (in reference call order).
-* **Phase B** (the drivers): replays timing and all shared state against
-  the real ``CoreTiming`` / LLC / mesh / DRAM / pending-fill objects in
-  the verbatim reference operation order.  Runs of trivial L1 hits
+* **Phase B** (:meth:`~repro.sim.simulator.Simulator.run`, the one
+  driver loop of both backends): replays timing and all shared state
+  against the real ``CoreTiming`` / LLC / mesh / DRAM / pending-fill
+  objects in the verbatim reference operation order; the driver calls
+  :meth:`VectorKernel.step` per access, and an L2 miss takes the same
+  :meth:`~repro.cache.hierarchy.MemoryHierarchy.llc_demand` the
+  reference ``demand_access`` does.  Runs of trivial L1 hits
   (non-dependent, no in-flight fill for their blocks, empty MSHR file)
-  advance the core clock via ``np.add.accumulate``, which reproduces the
-  scalar loop's float adds bit-for-bit because ufunc accumulation is
-  defined as strictly sequential.
+  are found by :meth:`VectorKernel.run_end` and advance the core clock
+  via ``np.add.accumulate`` (:meth:`VectorKernel.fast_forward`), which
+  reproduces the scalar loop's float adds bit-for-bit because ufunc
+  accumulation is defined as strictly sequential.
 
 Backend selection: ``SystemConfig.sim_kernel`` (``"auto"`` default),
 overridable by the ``REPRO_SIM_KERNEL`` environment variable.  The
@@ -50,7 +55,6 @@ exported; configs that publish them (telemetry) fall back.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -233,7 +237,7 @@ class _LeanPrivateState:
 
 
 # ----------------------------------------------------------------------
-# Phase B driver
+# The vector backend
 # ----------------------------------------------------------------------
 class VectorKernel:
     """One simulation run through the vectorized backend.
@@ -275,7 +279,7 @@ class VectorKernel:
         self._gap_cumsum: List[np.ndarray] = []
         self._instr_after: List[np.ndarray] = []
         self._homes: List[np.ndarray] = []
-        self._window_start = [0] * len(sim.traces)
+        self._not_ok_ptr = [0] * len(sim.traces)
 
     # ------------------------------------------------------------------
     def ready(self) -> bool:
@@ -362,19 +366,35 @@ class VectorKernel:
         self._not_ok_positions.append(np.flatnonzero(~vec_ok).tolist())
 
     # ------------------------------------------------------------------
-    # Vector-run helpers
+    # Phase B: what the simulator's driver loop calls
     # ------------------------------------------------------------------
-    def _run_end(self, core_id: int, pos: int, limit: int) -> int:
-        """End (exclusive) of the maximal vector-eligible run at *pos*.
+    def prepare(self) -> None:
+        """Run Phase A for every core, before the driver loop starts."""
+        for core_id in range(len(self.sim.traces)):
+            self._classify_core(core_id)
 
-        The drivers inline this with a monotone pointer into
-        ``_not_ok_positions``; this method is the reference form.
+    def run_end(self, core, core_id: int, pos: int, limit: int) -> int:
+        """End (exclusive, at most *limit*) of the run of trivial L1 hits
+        at *pos* that :meth:`fast_forward` may take, or *pos* when no
+        run of at least ``MIN_VECTOR_RUN`` accesses starts there.
+
+        The driver calls it with monotone *pos* per core, so a per-core
+        pointer into ``_not_ok_positions`` finds the next breaker.
         """
+        if not self._vec_ok[core_id][pos]:
+            return pos
         not_ok = self._not_ok_positions[core_id]
-        j = int(np.searchsorted(not_ok, pos))
-        end = not_ok[j] if j < len(not_ok) else \
-            len(self._blocks[core_id])
-        return min(end, limit)
+        num_not_ok = len(not_ok)
+        j = self._not_ok_ptr[core_id]
+        while j < num_not_ok and not_ok[j] < pos:
+            j += 1
+        self._not_ok_ptr[core_id] = j
+        end = min(not_ok[j] if j < num_not_ok else
+                  len(self._blocks[core_id]), limit)
+        if core._outstanding and end > pos:
+            end = self._rob_safe_end(core, core_id, pos, end)
+        end = self._pending_safe_end(core_id, pos, end)
+        return end if end - pos >= MIN_VECTOR_RUN else pos
 
     def _pending_safe_end(self, core_id: int, pos: int,
                           end: int) -> int:
@@ -421,8 +441,8 @@ class VectorKernel:
         instr_after = self._instr_after[core_id]
         return pos + int(np.searchsorted(instr_after[pos:end], budget))
 
-    def _fast_forward(self, core, core_id: int, pos: int,
-                      end: int) -> None:
+    def fast_forward(self, core, core_id: int, pos: int,
+                     end: int) -> None:
         """Advance *core* through [pos, end) of trivial L1 hits.
 
         Bit-exact: the accumulate chain performs the identical sequence
@@ -442,98 +462,42 @@ class VectorKernel:
         cumsum = self._gap_cumsum[core_id]
         core.instructions += int(cumsum[end] - cumsum[pos]) + n
 
-    # ------------------------------------------------------------------
-    # Residue replicas (verbatim reference op order on real objects)
-    # ------------------------------------------------------------------
-    def _step_l1_hit(self, core, core_id: int, pos: int) -> None:
+    def step(self, core, core_id: int, pos: int) -> None:
+        """One access in the reference operation order on the real
+        objects.  A private hit only waits for a fill still in flight
+        and replays the dirty evictions Phase A recorded (an L1 hit has
+        none); an L2 miss takes :meth:`MemoryHierarchy.llc_demand`."""
         hier = self.hierarchy
-        block = self._blocks[core_id][pos]
-        core.advance(int(self._gaps[core_id][pos]))
-        cycle = int(core.cycle)
-        latency = self._l1_latency
-        if block in hier._pending_fill:
-            latency += hier._pending_wait(block, cycle + latency)
-        core.issue_memory(latency,
-                          dependent=bool(self._deps[core_id][pos]),
-                          is_miss=latency > self._l1_hit_threshold)
-
-    def _step_l2_hit(self, core, core_id: int, pos: int) -> None:
-        hier = self.hierarchy
-        block = self._blocks[core_id][pos]
-        core.advance(int(self._gaps[core_id][pos]))
-        cycle = int(core.cycle)
-        latency = self._l1_l2_latency
-        if block in hier._pending_fill:
-            latency += hier._pending_wait(block, cycle + latency)
-        events = self._events[core_id].get(pos)
-        if events:
-            for wb_block in events:
-                hier._writeback_to_llc(core_id, wb_block, cycle)
-        core.issue_memory(latency,
-                          dependent=bool(self._deps[core_id][pos]),
-                          is_miss=latency > self._l1_hit_threshold)
-
-    def _step_l2_miss(self, core, core_id: int, pos: int) -> None:
-        hier = self.hierarchy
-        block = self._blocks[core_id][pos]
-        core.advance(int(self._gaps[core_id][pos]))
-        cycle = int(core.cycle)
-        stats = hier.core_stats[core_id]
-        ctx = AccessContext(pc=int(self._pcs[core_id][pos]), block=block,
-                            core_id=core_id,
-                            is_write=self._writes[core_id][pos],
-                            kind=DEMAND, cycle=cycle)
-        latency = self._l1_l2_latency
-        slice_id = int(self._homes[core_id][pos])
-        latency += hier.mesh.latency(core_id, slice_id,
-                                     traffic_class="llc")
-        latency += self.config.llc_latency
-        stats.llc_accesses += 1
-        ctx.slice_id = slice_id
-        llc_outcome = hier.llc.slices[slice_id].access(ctx)
-        if llc_outcome.hit:
-            hier._credit_prefetch(hier.llc.slices[slice_id], block,
-                                  llc_outcome.way, core_id)
-        else:
-            stats.llc_misses += 1
-            wait = hier._pending_wait(block, cycle + latency)
-            if wait > 0:
-                latency += wait
-            else:
-                dram_latency = hier.dram.read(block,
-                                              now=int(cycle + latency))
-                latency += dram_latency
-                hier._note_pending(block, cycle + latency)
-            evicted, extra = hier.llc.fill(ctx)
-            latency += extra
-            hier._handle_llc_eviction(evicted, int(cycle + latency))
-        latency += hier.mesh.latency(slice_id, core_id,
-                                     traffic_class="llc")
-        events = self._events[core_id].get(pos)
-        if events:
-            for wb_block in events:
-                hier._writeback_to_llc(core_id, wb_block, cycle)
-        core.issue_memory(latency,
-                          dependent=bool(self._deps[core_id][pos]),
-                          is_miss=latency > self._l1_hit_threshold)
-
-    def _step(self, core, core_id: int, pos: int) -> None:
         klass = self._klass[core_id][pos]
-        if klass == 0:
-            self._step_l1_hit(core, core_id, pos)
-        elif klass == 1:
-            self._step_l2_hit(core, core_id, pos)
+        block = self._blocks[core_id][pos]
+        core.advance(int(self._gaps[core_id][pos]))
+        cycle = int(core.cycle)
+        if klass == 2:
+            ctx = AccessContext(pc=int(self._pcs[core_id][pos]),
+                                block=block, core_id=core_id,
+                                is_write=self._writes[core_id][pos],
+                                kind=DEMAND, cycle=cycle)
+            latency = hier.llc_demand(core_id, ctx,
+                                      int(self._homes[core_id][pos]),
+                                      cycle, self._l1_l2_latency)
         else:
-            self._step_l2_miss(core, core_id, pos)
+            latency = self._l1_l2_latency if klass else self._l1_latency
+            if block in hier._pending_fill:
+                latency += hier._pending_wait(block, cycle + latency)
+        events = self._events[core_id].get(pos)
+        if events:
+            for wb_block in events:
+                hier._writeback_to_llc(core_id, wb_block, cycle)
+        core.issue_memory(latency,
+                          dependent=bool(self._deps[core_id][pos]),
+                          is_miss=latency > self._l1_hit_threshold)
 
-    # ------------------------------------------------------------------
-    # Batch counters
-    # ------------------------------------------------------------------
-    def _finalize_counters(self, num_active: int) -> None:
-        """Fold Phase-A classifications into the measured-window
+    def finalize_counters(self, window_start: List[int]) -> None:
+        """Fold Phase-A classifications from each core's
+        *window_start* position on into the measured-window
         ``CoreStats`` (LLC counters were maintained live)."""
-        for core_id in range(num_active):
-            window = self._klass[core_id][self._window_start[core_id]:]
+        for core_id, start in enumerate(window_start):
+            window = self._klass[core_id][start:]
             stats = self.hierarchy.core_stats[core_id]
             l2_accesses = int(np.count_nonzero(window))
             l2_misses = int(np.count_nonzero(window == 2))
@@ -541,139 +505,3 @@ class VectorKernel:
             stats.l1_misses += l2_accesses
             stats.l2_accesses += l2_accesses
             stats.l2_misses += l2_misses
-
-    # ------------------------------------------------------------------
-    # Drivers
-    # ------------------------------------------------------------------
-    def run_single_core(self, warmup_accesses: int,
-                        snapshots: Dict[int, tuple],
-                        stats_reset_done: bool) -> bool:
-        """Vector counterpart of ``Simulator._run_single_core``."""
-        self._classify_core(0)
-        core = self.sim.cores[0]
-        vec_ok = self._vec_ok[0]
-        not_ok = self._not_ok_positions[0]
-        num_not_ok = len(not_ok)
-        j = 0  # monotone pointer: first breaker position >= pos
-        n = len(self._blocks[0])
-        pos = 0
-        while pos < n:
-            if vec_ok[pos]:
-                while j < num_not_ok and not_ok[j] < pos:
-                    j += 1
-                end = not_ok[j] if j < num_not_ok else n
-                # Clamp at the warmup boundary so the stats reset fires
-                # at exactly the reference access.
-                if not stats_reset_done and end > warmup_accesses:
-                    end = max(warmup_accesses, pos)
-                if core._outstanding and end > pos:
-                    end = self._rob_safe_end(core, 0, pos, end)
-                end = self._pending_safe_end(0, pos, end)
-                if end - pos >= MIN_VECTOR_RUN:
-                    self._fast_forward(core, 0, pos, end)
-                    pos = end
-                    if not stats_reset_done and pos >= warmup_accesses:
-                        self.hierarchy.reset_stats()
-                        stats_reset_done = True
-                        snapshots[0] = core.snapshot()
-                        self._window_start[0] = pos
-                    continue
-            self._step(core, 0, pos)
-            pos += 1
-            if not stats_reset_done and pos >= warmup_accesses:
-                self.hierarchy.reset_stats()
-                stats_reset_done = True
-                snapshots[0] = core.snapshot()
-                self._window_start[0] = pos
-        core.finish()
-        self._finalize_counters(1)
-        return stats_reset_done
-
-    def run_interleaved(self, num_active: int, positions, processed,
-                        warm, warmup_accesses: int,
-                        snapshots: Dict[int, tuple],
-                        stats_reset_done: bool) -> bool:
-        """Vector counterpart of ``Simulator._run_interleaved``.
-
-        Identical heap schedule: a vector run touches no shared state
-        and only moves its own core's clock through the same values the
-        scalar path would, so every shared-state operation happens in
-        the same global order at the same cycle keys.  Runs are only
-        taken after the warmup reset (or when warmup is disabled) so
-        the reset-point snapshots of *other* cores are never skipped
-        over.
-        """
-        for core_id in range(num_active):
-            self._classify_core(core_id)
-        cores = self.sim.cores
-        trace_lengths = [len(b) for b in self._blocks[:num_active]]
-        not_ok_ptr = [0] * num_active  # monotone per-core breaker pointer
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        warmup_targets = [min(warmup_accesses, trace_lengths[i])
-                          for i in range(num_active)]
-        for i in range(num_active):
-            if warmup_targets[i] == 0:
-                warm[i] = True
-        warm_count = sum(1 for w in warm if w)
-        unfinished = sum(1 for length in trace_lengths if length > 0)
-
-        heap = [(0.0, i) for i in range(num_active)]
-        heapq.heapify(heap)
-
-        while heap:
-            _cycle, core_id = heappop(heap)
-            pos = positions[core_id]
-            length = trace_lengths[core_id]
-            if pos >= length:
-                cores[core_id].finish()
-                continue
-            core = cores[core_id]
-
-            if stats_reset_done and self._vec_ok[core_id][pos]:
-                not_ok = self._not_ok_positions[core_id]
-                num_not_ok = len(not_ok)
-                j = not_ok_ptr[core_id]
-                while j < num_not_ok and not_ok[j] < pos:
-                    j += 1
-                not_ok_ptr[core_id] = j
-                end = not_ok[j] if j < num_not_ok else length
-                if core._outstanding and end > pos:
-                    end = self._rob_safe_end(core, core_id, pos, end)
-                end = self._pending_safe_end(core_id, pos, end)
-                if end - pos >= MIN_VECTOR_RUN:
-                    self._fast_forward(core, core_id, pos, end)
-                    positions[core_id] = end
-                    processed[core_id] += end - pos
-                    if end == length:
-                        unfinished -= 1
-                        core.finish()
-                    else:
-                        heappush(heap, (core.cycle, core_id))
-                    continue
-
-            positions[core_id] = pos + 1
-            self._step(core, core_id, pos)
-            if pos + 1 == length:
-                unfinished -= 1
-
-            processed[core_id] += 1
-            if not warm[core_id] and \
-                    processed[core_id] >= warmup_targets[core_id]:
-                warm[core_id] = True
-                warm_count += 1
-                if warm_count == num_active and not stats_reset_done \
-                        and unfinished > 0:
-                    self.hierarchy.reset_stats()
-                    stats_reset_done = True
-                    for i in range(num_active):
-                        snapshots[i] = cores[i].snapshot()
-                        self._window_start[i] = positions[i]
-
-            if positions[core_id] < length:
-                heappush(heap, (core.cycle, core_id))
-            else:
-                core.finish()
-        self._finalize_counters(num_active)
-        return stats_reset_done

@@ -3,7 +3,8 @@
 Cores interleave in cycle order: each step advances the core whose local
 clock is furthest behind, so shared-resource contention (LLC slices, DRAM
 channels, mesh links) is experienced in a realistic global order without
-a cycle-accurate event wheel.
+a cycle-accurate event wheel.  A one-core run (the alone-IPC run) is
+the same loop with one core, under either backend.
 
 Warmup: each core's leading ``warmup_accesses`` train caches and
 predictors without counting; when the last core crosses its warmup
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,42 +154,106 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute all traces to completion; returns measured statistics.
 
-        The per-access loop dominates every sweep, so repeated
-        attribute lookups (`hierarchy.demand_access`, the L1 latency
-        threshold, trace/core bindings) are hoisted into locals, and
-        the single-core case walks its trace directly instead of
-        churning a one-element heap.  Both paths apply the exact same
-        access/warmup semantics.
+        One cycle-ordered loop drives every run, one core or many: each
+        iteration pops the core whose clock is furthest behind and
+        advances it by one access, through the reference step
+        (``demand_access`` plus ``CoreTiming``) or the vector kernel's
+        :meth:`~repro.sim.kernel.VectorKernel.step`.  With the kernel, a
+        run of trivial L1 hits may instead be fast-forwarded in one go:
+        always after the warmup reset, and before it only when no other
+        core is left to interleave, and then no further than that core's
+        warmup target, so the reset fires at exactly the access the
+        reference loop resets at.
 
         Backend selection: eligible configs (see
         :func:`repro.sim.kernel.resolve_kernel`) may take the
         bit-identical vectorized kernel; ``self.kernel_used`` /
         ``self.kernel_fallback_reasons`` record the decision.
         """
+        kernel = self._select_kernel()
+        if kernel is None:
+            step = self._reference_step()
+        else:
+            kernel.prepare()
+            step = kernel.step
+        cores = self.cores
         num_active = len(self.traces)
+        lengths = [len(t) for t in self.traces]
+        # Each core's warmup target is clamped to its trace length: a
+        # core whose whole trace fits inside warmup counts as warm once
+        # it finishes, so it cannot postpone the stats reset (and the
+        # measurement windows) of every other core indefinitely.
+        targets = [min(self.warmup_accesses, n) for n in lengths]
+        warm_count = targets.count(0)
+        unfinished = sum(1 for n in lengths if n > 0)
+        reset_done = self.warmup_accesses == 0
+        # Measurement windows open at zero unless the reset moves them.
+        snapshots = [(0, 0.0)] * num_active
+        window_start = [0] * num_active
         positions = [0] * num_active
-        processed = [0] * num_active
-        warm = [self.warmup_accesses == 0] * num_active
-        snapshots: Dict[int, tuple] = {}
-        stats_reset_done = self.warmup_accesses == 0
-
-        if stats_reset_done:
-            for i in range(num_active):
-                snapshots[i] = (0, 0.0)
-
-        # Hot-loop locals (shared by both paths).
-        warmup_accesses = self.warmup_accesses
-        demand_access = self.hierarchy.demand_access
-        # L1 hits retire through the ROB like ordinary instructions;
-        # only accesses that left the L1 hold an MSHR.
-        l1_hit_threshold = self.config.l1.latency + 1
         sample_every = (self.telemetry.sample_interval
                         if self.telemetry is not None else 0)
+        total_done = 0
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heap = [(0.0, i) for i in range(num_active)]
 
+        while heap:
+            _cycle, core_id = heappop(heap)
+            core = cores[core_id]
+            pos = positions[core_id]
+            length = lengths[core_id]
+            if pos >= length:
+                core.finish()
+                continue
+            end = pos
+            if kernel is not None and (reset_done or not heap):
+                end = kernel.run_end(core, core_id, pos,
+                                     length if reset_done
+                                     else targets[core_id])
+            if end > pos:
+                kernel.fast_forward(core, core_id, pos, end)
+            else:
+                step(core, core_id, pos)
+                end = pos + 1
+            positions[core_id] = end
+            if end == length:
+                unfinished -= 1
+            if pos < targets[core_id] <= end:
+                warm_count += 1
+                if warm_count == num_active and not reset_done \
+                        and unfinished > 0:
+                    # Reset only when something remains to measure;
+                    # warmup that would consume every trace entirely
+                    # measures the whole run instead.
+                    self.hierarchy.reset_stats()
+                    reset_done = True
+                    snapshots = [cores[i].snapshot()
+                                 for i in range(num_active)]
+                    window_start = list(positions)
+
+            if sample_every:
+                total_done += end - pos
+                if total_done % sample_every == 0:
+                    self._sample(total_done)
+
+            if end < length:
+                heappush(heap, (core.cycle, core_id))
+            else:
+                core.finish()
+
+        if kernel is not None:
+            kernel.finalize_counters(window_start)
+        return self._collect(snapshots, num_active)
+
+    def _select_kernel(self) -> Optional[VectorKernel]:
+        """Pick the backend for this run and record the decision."""
         kernel_used, fallback_reasons = resolve_kernel(
             self.config, self.telemetry)
         kernel = None
-        if kernel_used == "vector" and num_active > 0:
+        if kernel_used == "vector" and not self.traces:
+            kernel_used = "reference"  # nothing to vectorize
+        elif kernel_used == "vector":
             kernel = VectorKernel(self)
             if not kernel.ready():
                 kernel = None
@@ -196,136 +261,26 @@ class Simulator:
                 fallback_reasons = [
                     "simulator already ran: the lean private-level "
                     "replica assumes cold caches"]
-        elif kernel_used == "vector":
-            kernel_used = "reference"  # nothing to vectorize
         self.kernel_used = kernel_used
         self.kernel_fallback_reasons = fallback_reasons
+        return kernel
 
-        if kernel is not None:
-            if num_active == 1:
-                stats_reset_done = kernel.run_single_core(
-                    warmup_accesses, snapshots, stats_reset_done)
-            else:
-                stats_reset_done = kernel.run_interleaved(
-                    num_active, positions, processed, warm,
-                    warmup_accesses, snapshots, stats_reset_done)
-        elif num_active == 1:
-            stats_reset_done = self._run_single_core(
-                warmup_accesses, demand_access, l1_hit_threshold,
-                snapshots, stats_reset_done, sample_every)
-        else:
-            stats_reset_done = self._run_interleaved(
-                num_active, positions, processed, warm,
-                warmup_accesses, demand_access, l1_hit_threshold,
-                snapshots, stats_reset_done, sample_every)
+    def _reference_step(self):
+        """The reference per-access step (``demand_access`` plus the
+        core's timing), with its lookups hoisted out of the loop."""
+        accesses = [t.accesses for t in self.traces]
+        demand_access = self.hierarchy.demand_access
+        # L1 hits retire through the ROB like ordinary instructions;
+        # only accesses that left the L1 hold an MSHR.
+        l1_hit_threshold = self.config.l1.latency + 1
 
-        if not stats_reset_done:
-            # Traces shorter than warmup: measure everything.
-            for i in range(num_active):
-                snapshots.setdefault(i, (0, 0.0))
-
-        return self._collect(snapshots, num_active)
-
-    def _run_single_core(self, warmup_accesses: int, demand_access,
-                         l1_hit_threshold: int,
-                         snapshots: Dict[int, tuple],
-                         stats_reset_done: bool,
-                         sample_every: int = 0) -> bool:
-        """Heap-free fast path: one core walks its trace in order."""
-        trace = self.traces[0]
-        core = self.cores[0]
-        advance = core.advance
-        issue_memory = core.issue_memory
-        for pos in range(len(trace)):
-            access = trace[pos]
-            advance(access.instr_gap)
-            latency = demand_access(0, access, int(core.cycle))
-            issue_memory(latency, dependent=access.dependent,
-                         is_miss=latency > l1_hit_threshold)
-            if not stats_reset_done and pos + 1 >= warmup_accesses:
-                self.hierarchy.reset_stats()
-                stats_reset_done = True
-                snapshots[0] = core.snapshot()
-            if sample_every and (pos + 1) % sample_every == 0:
-                self._sample(pos + 1)
-        core.finish()
-        return stats_reset_done
-
-    def _run_interleaved(self, num_active: int, positions, processed,
-                         warm, warmup_accesses: int, demand_access,
-                         l1_hit_threshold: int,
-                         snapshots: Dict[int, tuple],
-                         stats_reset_done: bool,
-                         sample_every: int = 0) -> bool:
-        """Cycle-ordered interleaving of two or more cores."""
-        traces = self.traces
-        cores = self.cores
-        trace_lengths = [len(t) for t in traces]
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        # Each core's warmup target is clamped to its trace length: a
-        # core whose whole trace fits inside warmup counts as warm once
-        # it finishes, so it cannot postpone the stats reset (and the
-        # measurement windows) of every other core indefinitely.
-        warmup_targets = [min(warmup_accesses, trace_lengths[i])
-                          for i in range(num_active)]
-        for i in range(num_active):
-            if warmup_targets[i] == 0:
-                warm[i] = True
-        # O(1) warmup bookkeeping: count warm cores and unfinished
-        # traces incrementally instead of scanning all cores at each
-        # warm transition (bit-identical to the scan form).
-        warm_count = sum(1 for w in warm if w)
-        unfinished = sum(1 for length in trace_lengths if length > 0)
-
-        heap = [(0.0, i) for i in range(num_active)]
-        heapq.heapify(heap)
-        total_done = 0
-
-        while heap:
-            _cycle, core_id = heappop(heap)
-            pos = positions[core_id]
-            if pos >= trace_lengths[core_id]:
-                cores[core_id].finish()
-                continue
-            access = traces[core_id][pos]
-            positions[core_id] = pos + 1
-            core = cores[core_id]
-
+        def step(core: CoreTiming, core_id: int, pos: int) -> None:
+            access = accesses[core_id][pos]
             core.advance(access.instr_gap)
             latency = demand_access(core_id, access, int(core.cycle))
             core.issue_memory(latency, dependent=access.dependent,
                               is_miss=latency > l1_hit_threshold)
-
-            if pos + 1 == trace_lengths[core_id]:
-                unfinished -= 1
-            processed[core_id] += 1
-            if not warm[core_id] and \
-                    processed[core_id] >= warmup_targets[core_id]:
-                warm[core_id] = True
-                warm_count += 1
-                if warm_count == num_active and not stats_reset_done \
-                        and unfinished > 0:
-                    # Reset only when something remains to measure;
-                    # warmup that would consume every trace entirely
-                    # falls through to the measure-everything path.
-                    self.hierarchy.reset_stats()
-                    stats_reset_done = True
-                    # Open every measurement window at the reset point.
-                    for i in range(num_active):
-                        snapshots[i] = cores[i].snapshot()
-
-            if sample_every:
-                total_done += 1
-                if total_done % sample_every == 0:
-                    self._sample(total_done)
-
-            if positions[core_id] < trace_lengths[core_id]:
-                heappush(heap, (core.cycle, core_id))
-            else:
-                core.finish()
-        return stats_reset_done
+        return step
 
     # ------------------------------------------------------------------
     def _sample(self, accesses_done: int) -> None:
@@ -362,12 +317,12 @@ class Simulator:
         })
 
     # ------------------------------------------------------------------
-    def _collect(self, snapshots: Dict[int, tuple],
+    def _collect(self, snapshots: List[Tuple[int, float]],
                  num_active: int) -> SimulationResult:
         instructions = []
         cycles = []
         for i in range(num_active):
-            snap_instr, snap_cycle = snapshots.get(i, (0, 0.0))
+            snap_instr, snap_cycle = snapshots[i]
             core = self.cores[i]
             instructions.append(core.instructions - snap_instr)
             cycles.append(core.cycle - snap_cycle)

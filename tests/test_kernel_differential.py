@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.sim.config import ScaleProfile, SystemConfig
 from repro.sim.kernel import (KERNEL_CHOICES, MIN_VECTOR_RUN,
-                              kernel_fallback_reasons, resolve_kernel)
+                              VectorKernel, kernel_fallback_reasons,
+                              resolve_kernel)
 from repro.sim.simulator import Simulator
 from repro.traces.mixes import homogeneous_mix, make_mix
 from repro.traces.trace import MemoryAccess, Trace
@@ -117,6 +118,31 @@ class TestDifferential:
         cfg = smoke_config(4, "hawkeye", track_set_stats=True)
         traces = make_mix(homogeneous_mix("mcf", 4), cfg, 1500, seed=3)
         assert_backends_agree(cfg, traces)
+
+    def test_last_core_fast_forwards_through_warmup(self, monkeypatch):
+        """Two short traces finish inside warmup; the long L1-resident
+        one is then alone in the loop and fast-forwards before the
+        reset, up to its warmup target and no further."""
+        cfg = smoke_config(3, "lru")
+        short = make_mix(homogeneous_mix("mcf", 3), cfg, 40, seed=5)[:2]
+        hot = Trace("hot", [MemoryAccess(pc=0x400, address=(i % 4) * 64,
+                                         instr_gap=60)
+                            for i in range(2000)])
+        traces = short + [hot]
+        warmup = 1000
+        runs = []
+        original = VectorKernel.fast_forward
+
+        def spy(kernel, core, core_id, pos, end):
+            runs.append((core_id, pos, end))
+            original(kernel, core, core_id, pos, end)
+
+        monkeypatch.setattr(VectorKernel, "fast_forward", spy)
+        ref, _ = run_with_kernel(cfg, traces, "reference", warmup)
+        vec, vec_sim = run_with_kernel(cfg, traces, "vector", warmup)
+        assert vec_sim.kernel_used == "vector"
+        assert any(pos < warmup == end for _core, pos, end in runs)
+        assert ref == vec
 
     def test_trace_shorter_than_min_vector_run(self):
         cfg = smoke_config(1, "lru")

@@ -31,6 +31,7 @@ from repro.obs import (
 )
 from repro.obs import events as obs_events
 from repro.sim.config import CacheConfig, ScaleProfile, SystemConfig
+from repro.sim.report import simulation_to_dict
 from repro.sim.runner import measure_alone_ipcs, run_mix
 from repro.sim.simulator import Simulator
 from repro.traces.mixes import homogeneous_mix, make_mix
@@ -513,16 +514,25 @@ class TestSimTelemetry:
         with pytest.raises(ValueError):
             SimTelemetry(sample_interval=-1)
 
-    def test_attached_telemetry_is_bit_identical(self):
-        traces = [tiny_trace("a"), tiny_trace("b", base=1 << 20)]
-        plain = Simulator(tiny_cfg(), traces).run()
-        telemetry = SimTelemetry(sample_interval=100)
-        sampled = Simulator(tiny_cfg(), traces, telemetry=telemetry).run()
-        assert sampled.ipc == plain.ipc
-        assert sampled.cycles == plain.cycles
-        assert sampled.instructions == plain.instructions
-        assert sampled.llc_stats.demand_misses == \
-            plain.llc_stats.demand_misses
+    def test_attached_telemetry_is_bit_identical(self, monkeypatch):
+        # Telemetry runs the reference loop; the plain run takes either
+        # backend.  Every exported value but the samples must agree, on
+        # one core and on two.
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        for num_traces in (1, 2):
+            traces = [tiny_trace("a"),
+                      tiny_trace("b", base=1 << 20)][:num_traces]
+            telemetry = SimTelemetry(sample_interval=100)
+            sampled = simulation_to_dict(
+                Simulator(tiny_cfg(), traces, telemetry=telemetry).run())
+            assert telemetry.samples
+            assert sampled.pop("interval_samples") == telemetry.samples
+            for kernel in ("reference", "vector"):
+                plain_sim = Simulator(tiny_cfg(sim_kernel=kernel), traces)
+                plain = simulation_to_dict(plain_sim.run())
+                assert plain_sim.kernel_used == kernel
+                assert plain.pop("interval_samples") is None
+                assert plain == sampled, (num_traces, kernel)
 
     def test_samples_recorded_at_interval(self):
         traces = [tiny_trace("a"), tiny_trace("b", base=1 << 20)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.drishti import DrishtiConfig
 from repro.sim.config import CacheConfig, SystemConfig
+from repro.sim.report import simulation_to_dict
 from repro.sim.runner import run_mix
 from repro.sim.simulator import Simulator
 from repro.traces.trace import MemoryAccess, Trace
@@ -47,6 +48,22 @@ class TestWarmupEdges:
         assert 0 < warm.instructions[1] < cold.instructions[1]
         # And the LLC counters really were reset mid-run.
         assert warm.llc_stats.accesses < cold.llc_stats.accesses
+
+    @pytest.mark.parametrize("kernel", ["reference", "vector"])
+    def test_one_core_warmup_equal_to_length_measures_everything(
+            self, kernel, monkeypatch):
+        # Regression: one core whose warmup equalled its trace length
+        # reset the stats on its last access and measured an empty
+        # window (IPC 0), unlike every multi-core run.
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        cfg = tiny_cfg(sim_kernel=kernel)
+        exact = Simulator(cfg, [trace(n=60)], warmup_accesses=60)
+        result = exact.run()
+        never = Simulator(cfg, [trace(n=60)],
+                          warmup_accesses=10 ** 9).run()
+        assert exact.kernel_used == kernel
+        assert result.instructions[0] > 0
+        assert simulation_to_dict(result) == simulation_to_dict(never)
 
     def test_single_access_traces(self):
         sim = Simulator(tiny_cfg(), [trace(n=1), trace(n=1, base=1 << 20)],

@@ -1,7 +1,7 @@
 """Fixed-seed golden results for :meth:`Simulator.run`.
 
-Captured before the hot-loop optimisation (hoisted attribute lookups +
-heap-free single-core path) so any refactor of the per-access loop that
+Captured before the hot-loop optimisation (hoisted attribute lookups)
+so any refactor of the one driver loop, on one core or many, that
 changes even one float is caught.  Exact ``==`` on purpose: the loop is
 pure deterministic arithmetic and must stay bit-identical.
 
@@ -53,7 +53,7 @@ class TestMultiCoreGolden:
 
 
 class TestSingleCoreGolden:
-    """The single-core case takes the heap-free fast path."""
+    """A one-core run: the same driver loop with one core in its heap."""
 
     def setup_method(self):
         self.cfg = SystemConfig.from_profile(1, ScaleProfile.smoke(),
