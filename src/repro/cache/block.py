@@ -8,8 +8,6 @@ for PC/core signatures, and the Drishti predictor fabric for routing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Access kinds.  Policies treat them differently: demand loads train
 # reuse predictors, prefetches carry the triggering load's PC plus a
 # prefetch bit (Section 3.3 of the paper), writebacks never train.
@@ -18,29 +16,36 @@ PREFETCH = "prefetch"
 WRITEBACK = "writeback"
 
 
-@dataclass
 class AccessContext:
-    """Everything the memory system needs to know about one access."""
+    """Everything the memory system needs to know about one access.
 
-    pc: int
-    block: int
-    core_id: int
-    is_write: bool = False
-    kind: str = DEMAND
-    cycle: int = 0
-    slice_id: int = 0  # filled in by the sliced LLC front-end
+    ``is_demand``/``is_prefetch``/``is_writeback`` are set once from
+    *kind* at construction (every cache and policy hook reads them), so
+    *kind* is fixed for the life of the record.
+    """
 
-    @property
-    def is_prefetch(self) -> bool:
-        return self.kind == PREFETCH
+    __slots__ = ("pc", "block", "core_id", "is_write", "kind", "cycle",
+                 "slice_id", "is_demand", "is_prefetch", "is_writeback")
 
-    @property
-    def is_demand(self) -> bool:
-        return self.kind == DEMAND
+    def __init__(self, pc: int, block: int, core_id: int,
+                 is_write: bool = False, kind: str = DEMAND, cycle: int = 0,
+                 slice_id: int = 0) -> None:
+        self.pc = pc
+        self.block = block
+        self.core_id = core_id
+        self.is_write = is_write
+        self.kind = kind
+        self.cycle = cycle
+        self.slice_id = slice_id  # filled in by the sliced LLC front-end
+        self.is_demand = kind == DEMAND
+        self.is_prefetch = kind == PREFETCH
+        self.is_writeback = kind == WRITEBACK
 
-    @property
-    def is_writeback(self) -> bool:
-        return self.kind == WRITEBACK
+    def __repr__(self) -> str:
+        return (f"AccessContext(pc={self.pc!r}, block={self.block!r}, "
+                f"core_id={self.core_id!r}, is_write={self.is_write!r}, "
+                f"kind={self.kind!r}, cycle={self.cycle!r}, "
+                f"slice_id={self.slice_id!r})")
 
 
 class CacheBlock:
@@ -63,17 +68,6 @@ class CacheBlock:
         self.is_prefetch = False
         self.inserted_at = 0
         self.last_touch = 0
-
-    def fill(self, ctx: AccessContext) -> None:
-        """Install the line described by *ctx*."""
-        self.valid = True
-        self.block = ctx.block
-        self.dirty = ctx.is_write or ctx.kind == WRITEBACK
-        self.pc = ctx.pc
-        self.core_id = ctx.core_id
-        self.is_prefetch = ctx.kind == PREFETCH
-        self.inserted_at = ctx.cycle
-        self.last_touch = ctx.cycle
 
     def __repr__(self) -> str:
         if not self.valid:

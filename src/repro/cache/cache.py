@@ -17,20 +17,20 @@ Replacement policies receive hook calls:
   value is extra fill-path latency in cycles (Drishti's predictor fabric
   charges remote-predictor lookups here),
 * ``on_evict(set_idx, way, block, ctx)`` before a valid line leaves.
+
+A policy that keeps the base class's no-op ``on_evict`` is not called
+for it, and the base class's ``take_fill_latency`` is drained inline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.cache.block import (INVALID_LINE, WRITEBACK, AccessContext,
-                               CacheBlock)
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.replacement.base import ReplacementPolicy
+from repro.cache.block import INVALID_LINE, AccessContext, CacheBlock
+from repro.replacement.base import ReplacementPolicy
 
 
 @dataclass
@@ -79,12 +79,19 @@ class EvictedBlock:
     core_id: int
 
 
-@dataclass
-class AccessOutcome:
-    """Result of a cache access."""
+class AccessOutcome(NamedTuple):
+    """Result of a cache access.
+
+    Immutable: :meth:`Cache.access` returns :data:`MISS` for every miss
+    and one shared outcome per way for hits.
+    """
 
     hit: bool
     way: Optional[int] = None
+
+
+#: The outcome of every cache miss.
+MISS = AccessOutcome(hit=False)
 
 
 class Cache:
@@ -117,6 +124,12 @@ class Cache:
         # Valid lines of each set, block -> way.
         self._ways: List[Dict[int, int]] = [{} for _ in range(num_sets)]
         self._set_mask = num_sets - 1
+        self._hit_outcomes = tuple(AccessOutcome(hit=True, way=way)
+                                   for way in range(num_ways))
+        cls = type(policy)
+        self._calls_on_evict = cls.on_evict is not ReplacementPolicy.on_evict
+        self._calls_take_fill_latency = (
+            cls.take_fill_latency is not ReplacementPolicy.take_fill_latency)
         self.track_set_stats = track_set_stats
         if track_set_stats:
             self.set_accesses = np.zeros(num_sets, dtype=np.int64)
@@ -151,38 +164,39 @@ class Cache:
         Does not fill on a miss — the hierarchy fills after the lower
         levels respond, via :meth:`fill`.
         """
-        set_idx = ctx.block & self._set_mask
-        way = self._ways[set_idx].get(ctx.block)
-        hit = way is not None
+        block = ctx.block
+        set_idx = block & self._set_mask
+        way = self._ways[set_idx].get(block)
+        stats = self.stats
+        stats.accesses += 1
+        if way is None:
+            stats.misses += 1
+            if ctx.is_demand:
+                stats.demand_accesses += 1
+                stats.demand_misses += 1
+            elif ctx.is_prefetch:
+                stats.prefetch_accesses += 1
+            if self.track_set_stats and not ctx.is_writeback:
+                self.set_accesses[set_idx] += 1
+                self.set_misses[set_idx] += 1
+            self.policy.access(set_idx, ctx, False, None)
+            return MISS
 
-        self.stats.accesses += 1
-        if hit:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
+        stats.hits += 1
         if ctx.is_demand:
-            self.stats.demand_accesses += 1
-            if hit:
-                self.stats.demand_hits += 1
-            else:
-                self.stats.demand_misses += 1
+            stats.demand_accesses += 1
+            stats.demand_hits += 1
         elif ctx.is_prefetch:
-            self.stats.prefetch_accesses += 1
-            if hit:
-                self.stats.prefetch_hits += 1
-
+            stats.prefetch_accesses += 1
+            stats.prefetch_hits += 1
         if self.track_set_stats and not ctx.is_writeback:
             self.set_accesses[set_idx] += 1
-            if not hit:
-                self.set_misses[set_idx] += 1
-
-        if hit:
-            line = self._sets[set_idx][way]
-            line.last_touch = ctx.cycle
-            if ctx.is_write or ctx.is_writeback:
-                line.dirty = True
-        self.policy.access(set_idx, ctx, hit, way)
-        return AccessOutcome(hit=hit, way=way)
+        line = self._sets[set_idx][way]
+        line.last_touch = ctx.cycle
+        if ctx.is_write or ctx.is_writeback:
+            line.dirty = True
+        self.policy.access(set_idx, ctx, True, way)
+        return self._hit_outcomes[way]
 
     def fill(self, ctx: AccessContext):
         """Install *ctx.block*; returns ``(evicted, extra_latency)``.
@@ -191,46 +205,61 @@ class Cache:
         bypass); ``extra_latency`` is the policy's fill-path overhead in
         cycles (zero for conventional policies).
         """
-        set_idx = ctx.block & self._set_mask
+        block = ctx.block
+        set_idx = block & self._set_mask
         blocks = self._sets[set_idx]
         ways = self._ways[set_idx]
 
         # Refilling a resident block (e.g. a writeback-allocate racing a
         # demand fill) just refreshes the line.
-        existing = ways.get(ctx.block)
+        existing = ways.get(block)
         if existing is not None:
             line = blocks[existing]
             line.last_touch = ctx.cycle
-            if ctx.is_write or ctx.kind == WRITEBACK:
+            if ctx.is_write or ctx.is_writeback:
                 line.dirty = True
             return None, 0
 
-        victim_way = self.policy.choose_victim(set_idx, blocks, ctx)
-        if victim_way == self.policy.BYPASS:
-            self.stats.bypasses += 1
-            return None, self.policy.take_fill_latency()
+        policy = self.policy
+        stats = self.stats
+        victim_way = policy.choose_victim(set_idx, blocks, ctx)
+        if victim_way == policy.BYPASS:
+            stats.bypasses += 1
+            return None, policy.take_fill_latency()
 
         line = blocks[victim_way]
         evicted = None
         if line.valid:
-            self.policy.on_evict(set_idx, victim_way, line, ctx)
+            if self._calls_on_evict:
+                policy.on_evict(set_idx, victim_way, line, ctx)
             del ways[line.block]
             evicted = EvictedBlock(block=line.block, dirty=line.dirty,
                                    pc=line.pc, core_id=line.core_id)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if line.dirty:
-                self.stats.writebacks_out += 1
+                stats.writebacks_out += 1
         else:
             line = blocks[victim_way] = CacheBlock()
 
-        line.fill(ctx)
-        ways[ctx.block] = victim_way
-        self.stats.fills += 1
+        line.valid = True
+        line.block = block
+        line.dirty = ctx.is_write or ctx.is_writeback
+        line.pc = ctx.pc
+        line.core_id = ctx.core_id
+        line.is_prefetch = ctx.is_prefetch
+        line.inserted_at = line.last_touch = ctx.cycle
+        ways[block] = victim_way
+        stats.fills += 1
         if ctx.is_writeback:
-            self.stats.writeback_fills += 1
-        extra = self.policy.on_fill(set_idx, victim_way, ctx) or 0
-        extra += self.policy.take_fill_latency()
-        return evicted, extra
+            stats.writeback_fills += 1
+        extra = policy.on_fill(set_idx, victim_way, ctx) or 0
+        if self._calls_take_fill_latency:
+            return evicted, extra + policy.take_fill_latency()
+        # ReplacementPolicy.take_fill_latency, inline.
+        pending = policy._pending_fill_latency
+        if pending:
+            policy._pending_fill_latency = 0
+        return evicted, extra + pending
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if present; returns True if it was resident."""

@@ -13,7 +13,7 @@ prefetches covered by the pending-fill table).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cache.block import (
     DEMAND,
@@ -140,8 +140,7 @@ class MemoryHierarchy:
             cache.invalidate(block)
 
     def _handle_llc_eviction(self, evicted, cycle: int) -> None:
-        if evicted is None:
-            return
+        """Route an LLC victim (never None) to DRAM / back-invalidation."""
         if evicted.dirty:
             self.dram.write(evicted.block, now=cycle)
         if self.config.llc_inclusive:
@@ -150,21 +149,22 @@ class MemoryHierarchy:
     def _writeback_to_llc(self, core_id: int, block: int, cycle: int) -> None:
         ctx = AccessContext(pc=0, block=block, core_id=core_id,
                             is_write=True, kind=WRITEBACK, cycle=cycle)
-        slice_id = self.llc.slice_of(block)
+        slice_id = ctx.slice_id = self.llc.hash.slice_of(block)
         self.mesh.latency(core_id, slice_id, traffic_class="writeback")
-        if self.llc.slices[slice_id].find_way(
-                self.llc.slices[slice_id].set_index(block), block) is not None:
+        llc_slice = self.llc.slices[slice_id]
+        if block in llc_slice._ways[block & llc_slice._set_mask]:
             # Present: just mark dirty (counted as a writeback access).
-            self.llc.slices[slice_id].access(ctx)
+            llc_slice.access(ctx)
             return
-        evicted, _extra = self.llc.fill(ctx)
-        self._handle_llc_eviction(evicted, cycle)
+        evicted = llc_slice.fill(ctx)[0]
+        if evicted is not None:
+            self._handle_llc_eviction(evicted, cycle)
 
     def _writeback_to_l2(self, core_id: int, block: int, cycle: int) -> None:
         l2 = self.l2[core_id]
         ctx = AccessContext(pc=0, block=block, core_id=core_id,
                             is_write=True, kind=WRITEBACK, cycle=cycle)
-        if l2.find_way(l2.set_index(block), block) is not None:
+        if block in l2._ways[block & l2._set_mask]:
             l2.access(ctx)
             return
         evicted = l2.fill(ctx)[0]
@@ -196,7 +196,8 @@ class MemoryHierarchy:
         cfg = self.config
         stats = self.core_stats[core_id]
         block = access.block
-        ctx = AccessContext(pc=access.pc, block=block, core_id=core_id,
+        pc = access.pc
+        ctx = AccessContext(pc=pc, block=block, core_id=core_id,
                             is_write=access.is_write, kind=DEMAND,
                             cycle=cycle)
 
@@ -204,11 +205,14 @@ class MemoryHierarchy:
         if self.tlbs is not None:
             latency += self.tlbs[core_id].translate(access.address)
         l1 = self.l1[core_id]
+        l1_pf, l2_pf = self.prefetchers[core_id]
         stats.l1_accesses += 1
         l1_hit = l1.access(ctx).hit
-        self._observe_l1_prefetcher(core_id, access.pc, block, l1_hit, cycle)
+        for candidate in l1_pf.observe(pc, block, l1_hit):
+            self._issue_prefetch(core_id, pc, candidate, "l1", cycle, l1_pf)
         if l1_hit:
-            latency += self._pending_wait(block, cycle + latency)
+            if block in self._pending_fill:
+                latency += self._pending_wait(block, cycle + latency)
             return latency
 
         stats.l1_misses += 1
@@ -216,16 +220,17 @@ class MemoryHierarchy:
         l2 = self.l2[core_id]
         stats.l2_accesses += 1
         outcome = l2.access(ctx)
-        self._observe_l2_prefetcher(core_id, access.pc, block, outcome.hit,
-                                    cycle)
+        for candidate in l2_pf.observe(pc, block, outcome.hit):
+            self._issue_prefetch(core_id, pc, candidate, "l2", cycle, l2_pf)
         if outcome.hit:
             self._credit_prefetch(l2, block, outcome.way, core_id)
-            latency += self._pending_wait(block, cycle + latency)
+            if block in self._pending_fill:
+                latency += self._pending_wait(block, cycle + latency)
             self._fill_l1(core_id, ctx, cycle)
             return latency
 
         stats.l2_misses += 1
-        latency = self.llc_demand(core_id, ctx, self.llc.slice_of(block),
+        latency = self.llc_demand(core_id, ctx, self.llc.hash.slice_of(block),
                                   cycle, latency)
         self._fill_l2(core_id, ctx, cycle)
         self._fill_l1(core_id, ctx, cycle)
@@ -239,7 +244,8 @@ class MemoryHierarchy:
         for and the LLC fill (a dirty victim is written to DRAM)."""
         stats = self.core_stats[core_id]
         block = ctx.block
-        latency += self.mesh.latency(core_id, slice_id, traffic_class="llc")
+        mesh = self.mesh
+        latency += mesh.latency(core_id, slice_id, traffic_class="llc")
         latency += self.config.llc_latency
         stats.llc_accesses += 1
         ctx.slice_id = slice_id
@@ -249,7 +255,9 @@ class MemoryHierarchy:
             self._credit_prefetch(llc_slice, block, llc_outcome.way, core_id)
         else:
             stats.llc_misses += 1
-            wait = self._pending_wait(block, cycle + latency)
+            wait = 0.0
+            if block in self._pending_fill:
+                wait = self._pending_wait(block, cycle + latency)
             if wait > 0:
                 # Another request already fetched this block; ride it.
                 latency += wait
@@ -258,11 +266,12 @@ class MemoryHierarchy:
                                               now=int(cycle + latency))
                 latency += dram_latency
                 self._note_pending(block, cycle + latency)
-            evicted, extra = self.llc.fill(ctx)
+            evicted, extra = llc_slice.fill(ctx)
             latency += extra
-            self._handle_llc_eviction(evicted, int(cycle + latency))
-        return latency + self.mesh.latency(slice_id, core_id,
-                                           traffic_class="llc")
+            if evicted is not None:
+                self._handle_llc_eviction(evicted, int(cycle + latency))
+        return latency + mesh.latency(slice_id, core_id,
+                                      traffic_class="llc")
 
     def _fill_l1(self, core_id: int, ctx: AccessContext, cycle: int) -> None:
         evicted = self.l1[core_id].fill(ctx)[0]
@@ -279,31 +288,21 @@ class MemoryHierarchy:
                          core_id: int) -> None:
         if way is None:
             return
-        line = cache.blocks_in_set(cache.set_index(block))[way]
+        line = cache._sets[block & cache._set_mask][way]
         line.is_prefetch = False  # first demand touch consumes the credit
 
     # ------------------------------------------------------------------
     # Prefetch path
     # ------------------------------------------------------------------
-    def _observe_l1_prefetcher(self, core_id: int, pc: int, block: int,
-                               hit: bool, cycle: int) -> None:
-        l1_pf, _l2_pf = self.prefetchers[core_id]
-        for candidate in l1_pf.observe(pc, block, hit):
-            self._issue_prefetch(core_id, pc, candidate, "l1", cycle, l1_pf)
-
-    def _observe_l2_prefetcher(self, core_id: int, pc: int, block: int,
-                               hit: bool, cycle: int) -> None:
-        _l1_pf, l2_pf = self.prefetchers[core_id]
-        for candidate in l2_pf.observe(pc, block, hit):
-            self._issue_prefetch(core_id, pc, candidate, "l2", cycle, l2_pf)
-
     def _issue_prefetch(self, core_id: int, pc: int, block: int,
                         fill_level: str, cycle: int, prefetcher) -> None:
-        l1 = self.l1[core_id]
+        # Tag checks read the caches' block -> way maps directly.
         l2 = self.l2[core_id]
-        if fill_level == "l1" and l1.contains(block):
-            return
-        if l2.contains(block):
+        if fill_level == "l1":
+            l1 = self.l1[core_id]
+            if block in l1._ways[block & l1._set_mask]:
+                return
+        if block in l2._ways[block & l2._set_mask]:
             if fill_level == "l1":
                 ctx = AccessContext(pc=pc, block=block, core_id=core_id,
                                     kind=PREFETCH, cycle=cycle)
@@ -311,21 +310,21 @@ class MemoryHierarchy:
                 prefetcher.stats.issued += 1
             return
         prefetcher.stats.issued += 1
+        slice_id = self.llc.hash.slice_of(block)
         ctx = AccessContext(pc=pc, block=block, core_id=core_id,
-                            kind=PREFETCH, cycle=cycle)
-        slice_id = self.llc.slice_of(block)
+                            kind=PREFETCH, cycle=cycle, slice_id=slice_id)
         latency = float(self.config.l2.latency)
-        ctx.slice_id = slice_id
-        llc_hit = self.llc.slices[slice_id].access(ctx).hit
-        if not llc_hit:
+        llc_slice = self.llc.slices[slice_id]
+        if not llc_slice.access(ctx).hit:
             latency += self.mesh.latency(core_id, slice_id,
                                          traffic_class="prefetch")
             latency += self.config.llc_latency
             if self._pending_fill.get(block, 0) <= cycle + latency:
                 latency += self.dram.read(block, now=int(cycle + latency))
                 self._note_pending(block, cycle + latency)
-            evicted, _extra = self.llc.fill(ctx)
-            self._handle_llc_eviction(evicted, int(cycle + latency))
+            evicted = llc_slice.fill(ctx)[0]
+            if evicted is not None:
+                self._handle_llc_eviction(evicted, int(cycle + latency))
         self._fill_l2(core_id, ctx, cycle)
         if fill_level == "l1":
             self._fill_l1(core_id, ctx, cycle)

@@ -90,11 +90,26 @@ class SliceHash:
             raise ValueError(f"unknown slice-hash scheme {scheme!r}")
         self.num_slices = num_slices
         self.scheme = scheme
-        self._fn = fold_xor_slice if scheme == "fold_xor" else modulo_slice
+        self._fold = scheme == "fold_xor"
+        self._fn = fold_xor_slice if self._fold else modulo_slice
 
     def slice_of(self, block: int) -> int:
-        """Slice id for a single block number."""
-        return int(self._fn(block, self.num_slices))
+        """Slice id for a single block number.
+
+        The same value as ``int(fold_xor_slice(block, n))`` (or
+        ``modulo_slice``), computed in this one call: every LLC visit
+        hashes its block here.
+        """
+        block = int(block)
+        if not self._fold:
+            return block % self.num_slices
+        x = block & _MASK64  # _mix64_scalar, inline
+        x ^= x >> 30
+        x = (x * _MIX) & _MASK64
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & _MASK64
+        x ^= x >> 31
+        return x % self.num_slices
 
     def slices_of(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised slice ids for an array of block numbers."""

@@ -136,32 +136,31 @@ class PredictorFabric:
         self.instances = [predictor_factory(i) for i in range(count)]
         self.stats = FabricStats(per_instance_accesses=[0] * count)
         self._center_next_free = 0  # single-port queue of the centralized design
+        # The scope is fixed: resolve its dispatch once, not per message.
+        self._local = scope == PredictorScope.LOCAL
+        self._centralized = scope == PredictorScope.CENTRALIZED
 
     # ------------------------------------------------------------------
-    def _target(self, slice_id: int, core_id: int) -> int:
-        if self.scope == PredictorScope.LOCAL:
-            return slice_id
-        if self.scope == PredictorScope.CENTRALIZED:
-            return 0
-        return core_id % len(self.instances)
-
-    def _transit_latency(self, slice_id: int, target: int,
-                         is_request: bool) -> int:
-        if self.scope == PredictorScope.LOCAL:
-            return 0
-        if self.scope == PredictorScope.CENTRALIZED:
-            dst = self.center_node
+    def _route(self, slice_id: int, core_id: int, cycle: int,
+               is_request: bool):
+        """``(target instance, latency)`` of a message from *slice_id* to
+        a non-local predictor: interconnect transit, plus the port queue
+        of the centralized one."""
+        if self._centralized:
+            target, dst = 0, self.center_node
         else:
             # Per-core predictor lives beside that core's slice (one slice
             # per core in the baseline system).
+            target = core_id % len(self.instances)
             dst = target % self.num_slices
         if self.use_nocstar and self.nocstar is not None:
             # NOCSTAR acquires the whole path with control wires; its
             # quoted latency covers the exchange.
             if is_request:
-                return self.nocstar.request(slice_id, dst)
-            return self.nocstar.response(slice_id, dst)
-        if self.mesh is not None:
+                latency = self.nocstar.request(slice_id, dst)
+            else:
+                latency = self.nocstar.response(slice_id, dst)
+        elif self.mesh is not None:
             latency = self.mesh.latency(slice_id, dst,
                                         traffic_class="predictor")
             if is_request:
@@ -169,13 +168,14 @@ class PredictorFabric:
                 # both cross the mesh on the fill's critical path.
                 latency += self.mesh.latency(dst, slice_id,
                                              traffic_class="predictor")
-            return latency
-        return 0
+        else:
+            latency = 0
+        if self._centralized:
+            latency += self._queue_latency(cycle)
+        return target, latency
 
     def _queue_latency(self, cycle: int) -> int:
         """Port-contention wait at the centralized predictor."""
-        if self.scope != PredictorScope.CENTRALIZED:
-            return 0
         wait = max(0, self._center_next_free - cycle)
         self._center_next_free = max(cycle, self._center_next_free) + \
             self.service_cycles
@@ -191,14 +191,17 @@ class PredictorFabric:
         latency so Figure 11's sensitivity reads the true interconnect
         cost.
         """
-        target = self._target(slice_id, core_id)
-        latency = self._transit_latency(slice_id, target, is_request=True)
-        latency += self._queue_latency(cycle)
-        self.stats.lookups += 1
-        self.stats.lookup_latency_total += latency
-        self.stats.per_instance_accesses[target] += 1
-        exposed = max(0, latency - self.lookup_hide_cycles)
-        return self.instances[target], exposed
+        if self._local:
+            target, latency = slice_id, 0
+        else:
+            target, latency = self._route(slice_id, core_id, cycle, True)
+        stats = self.stats
+        stats.lookups += 1
+        stats.lookup_latency_total += latency
+        stats.per_instance_accesses[target] += 1
+        hidden = self.lookup_hide_cycles
+        return (self.instances[target],
+                latency - hidden if latency > hidden else 0)
 
     def train_target(self, slice_id: int, core_id: int, cycle: int = 0):
         """Predictor a sampled cache in *slice_id* trains for *core_id*.
@@ -207,12 +210,14 @@ class PredictorFabric:
         critical path, so the latency is accounted (traffic/energy) but
         not charged to the load.
         """
-        target = self._target(slice_id, core_id)
-        latency = self._transit_latency(slice_id, target, is_request=False)
-        latency += self._queue_latency(cycle)
-        self.stats.trains += 1
-        self.stats.train_latency_total += latency
-        self.stats.per_instance_accesses[target] += 1
+        if self._local:
+            target, latency = slice_id, 0
+        else:
+            target, latency = self._route(slice_id, core_id, cycle, False)
+        stats = self.stats
+        stats.trains += 1
+        stats.train_latency_total += latency
+        stats.per_instance_accesses[target] += 1
         return self.instances[target], latency
 
     def publish_stats(self, registry, prefix: str = "fabric") -> None:

@@ -14,7 +14,6 @@ free).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.signature import mix64
 from repro.dram.timing import DRAMTiming
@@ -93,6 +92,10 @@ class DRAMController:
                           for _ in range(num_channels)]
         self.stats = DRAMStats()
         self._blocks_per_row = max(1, timing.row_buffer_bytes // BLOCK_BYTES)
+        # The timing is frozen: read its derived values once.
+        self._row_hit_latency = timing.row_hit_latency
+        self._row_miss_latency = timing.row_miss_latency
+        self._drain_cycles = max(1, timing.burst_cycles)
 
     # ------------------------------------------------------------------
     def _map(self, block: int):
@@ -104,58 +107,60 @@ class DRAMController:
         bank = (hashed >> 8) % self.banks_per_channel
         return channel, bank, row
 
-    def _drain_writes(self, channel: "_Channel", now: int) -> int:
-        """Drain buffered writes into idle bus time; returns forced-drain
-        cycles that delay the caller (watermark exceeded)."""
-        idle = max(0, now - channel.bus_free_at)
-        drained = min(channel.pending_writes,
-                      idle // max(1, self.timing.burst_cycles))
-        channel.pending_writes -= drained
-        if channel.pending_writes <= self._watermark:
-            return 0
-        forced = channel.pending_writes - self._watermark
-        channel.pending_writes = self._watermark
-        return forced * self.timing.burst_cycles
-
-    def _service(self, block: int, now: int, is_write: bool) -> int:
-        channel_id, bank_id, row = self._map(block)
-        channel = self._channels[channel_id]
-        bank = channel.banks[bank_id]
-
-        if bank.open_row == row:
-            array_latency = self.timing.row_hit_latency
-            self.stats.row_hits += 1
-        else:
-            array_latency = self.timing.row_miss_latency
-            self.stats.row_misses += 1
-            bank.open_row = row
-
-        if is_write:
-            # Posted into the write queue; the bus is used later, in
-            # idle gaps or a forced drain.
-            self.stats.writes += 1
-            channel.pending_writes += 1
-            return 0
-
-        forced_drain = self._drain_writes(channel, now)
-        queue_wait = max(0, channel.bus_free_at - now) + forced_drain
-        self.stats.queue_wait_cycles += queue_wait
-        start = now + queue_wait
-        channel.bus_free_at = start + self.timing.burst_cycles
-
-        latency = queue_wait + array_latency + self.timing.burst_cycles
-        self.stats.reads += 1
-        self.stats.total_read_latency += latency
-        return latency
-
     # ------------------------------------------------------------------
     def read(self, block: int, now: int) -> int:
         """Fetch a line; returns the latency the requester observes."""
-        return self._service(block, now, is_write=False)
+        # _map, inline: every LLC miss reads.
+        row = block // self._blocks_per_row
+        hashed = mix64(row)
+        channel = self._channels[hashed % self.num_channels]
+        bank = channel.banks[(hashed >> 8) % self.banks_per_channel]
+        stats = self.stats
+        if bank.open_row == row:
+            array_latency = self._row_hit_latency
+            stats.row_hits += 1
+        else:
+            array_latency = self._row_miss_latency
+            stats.row_misses += 1
+            bank.open_row = row
+
+        # Drain buffered writes into idle bus time; past the watermark
+        # a forced drain delays this read.
+        burst = self.timing.burst_cycles
+        free_at = channel.bus_free_at
+        pending = channel.pending_writes
+        if now > free_at:
+            pending -= min(pending, (now - free_at) // self._drain_cycles)
+        forced_drain = 0
+        if pending > self._watermark:
+            forced_drain = (pending - self._watermark) * burst
+            pending = self._watermark
+        channel.pending_writes = pending
+
+        queue_wait = forced_drain + (free_at - now if free_at > now else 0)
+        stats.queue_wait_cycles += queue_wait
+        channel.bus_free_at = now + queue_wait + burst
+        latency = queue_wait + array_latency + burst
+        stats.reads += 1
+        stats.total_read_latency += latency
+        return latency
 
     def write(self, block: int, now: int) -> None:
-        """Post an LLC writeback; consumes bandwidth, returns immediately."""
-        self._service(block, now, is_write=True)
+        """Post an LLC writeback; consumes bandwidth, returns immediately.
+
+        The write is queued; the bus carries it later, in an idle gap
+        before a read or in a forced drain.
+        """
+        channel_id, bank_id, row = self._map(block)
+        channel = self._channels[channel_id]
+        bank = channel.banks[bank_id]
+        if bank.open_row == row:
+            self.stats.row_hits += 1
+        else:
+            self.stats.row_misses += 1
+            bank.open_row = row
+        self.stats.writes += 1
+        channel.pending_writes += 1
 
     def publish_stats(self, registry, prefix: str = "dram") -> None:
         """Register controller counters with a ``StatsRegistry``."""

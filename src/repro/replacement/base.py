@@ -8,7 +8,7 @@ simple policies only override what they need.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cache.block import AccessContext, CacheBlock
 
@@ -68,7 +68,8 @@ class ReplacementPolicy:
 
         Policies that decide bypass in :meth:`choose_victim` consult their
         predictor there; the cache collects the charge afterwards via
-        :meth:`take_fill_latency`, whether or not a fill happened.
+        :meth:`take_fill_latency` (inlined for policies that keep this
+        class's), whether or not a fill happened.
         """
         self._pending_fill_latency += cycles
 
@@ -81,10 +82,16 @@ class ReplacementPolicy:
     # -- helpers --------------------------------------------------------
     @staticmethod
     def first_invalid(blocks: Sequence[CacheBlock]) -> Optional[int]:
-        """Way of the first invalid line in the set, or None."""
-        for way, line in enumerate(blocks):
+        """Way of the first invalid line in the set, or None.
+
+        The loop only reads ``valid``; the way comes from a C-level
+        identity scan (``CacheBlock`` has no ``__eq__``), which stops at
+        the first copy of that line object — in a cache, the shared
+        :data:`~repro.cache.block.INVALID_LINE`.
+        """
+        for line in blocks:
             if not line.valid:
-                return way
+                return blocks.index(line)
         return None
 
     def reset(self) -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cache.block import (DEMAND, INVALID_LINE, PREFETCH, WRITEBACK,
                                AccessContext, CacheBlock)
-from repro.cache.cache import Cache
+from repro.cache.cache import MISS, AccessOutcome, Cache
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.sampled_sets import ExplicitSampledSets
 from repro.replacement.base import ReplacementPolicy
@@ -336,3 +336,86 @@ class TestSharedInvalidLine:
             assert allocated_lines(h.l2[core]) == []
         assert any(allocated_lines(sl) for sl in h.llc.slices)
         assert_shared_line_untouched()
+
+
+# ---------------------------------------------------------------------------
+# first_invalid, the access-kind flags and the shared access outcomes
+# ---------------------------------------------------------------------------
+
+def linear_first_invalid(blocks):
+    """The plain ``valid`` scan: the reference answer."""
+    for way, line in enumerate(blocks):
+        if not line.valid:
+            return way
+    return None
+
+
+def filled_line(block):
+    c = make_cache(sets=1, ways=1)
+    c.fill(ctx(block))
+    return c.blocks_in_set(0)[0]
+
+
+class TestFirstInvalid:
+    @settings(max_examples=300, deadline=None)
+    @given(picks=st.lists(st.integers(0, 4), max_size=20),
+           as_tuple=st.booleans())
+    def test_matches_linear_valid_scan(self, picks, as_tuple):
+        # A small pool, so one line object can sit in several ways: the
+        # shared INVALID_LINE, two fresh (invalid) lines, two filled ones.
+        pool = [INVALID_LINE, CacheBlock(), CacheBlock(), filled_line(1),
+                filled_line(2)]
+        blocks = [pool[i] for i in picks]
+        if as_tuple:
+            blocks = tuple(blocks)
+        assert ReplacementPolicy.first_invalid(blocks) == \
+            linear_first_invalid(blocks)
+
+    @pytest.mark.parametrize("policy", sorted(MAP_POLICIES))
+    @settings(max_examples=30, deadline=None)
+    @given(ops=map_ops)
+    def test_matches_linear_scan_on_cache_sets(self, policy, ops):
+        c = map_cache(policy)
+        for cycle, step in enumerate(ops):
+            apply_op(c, cycle, *step)
+            for set_idx in range(MAP_SETS):
+                blocks = c.blocks_in_set(set_idx)
+                assert ReplacementPolicy.first_invalid(blocks) == \
+                    linear_first_invalid(blocks)
+
+
+class TestAccessKindFlags:
+    @pytest.mark.parametrize("kind", [DEMAND, PREFETCH, WRITEBACK])
+    def test_flags_follow_kind(self, kind):
+        c = AccessContext(pc=1, block=2, core_id=0, kind=kind)
+        assert c.is_demand == (kind == DEMAND)
+        assert c.is_prefetch == (kind == PREFETCH)
+        assert c.is_writeback == (kind == WRITEBACK)
+
+    def test_default_kind_is_demand(self):
+        c = AccessContext(pc=1, block=2, core_id=0)
+        assert c.kind == DEMAND
+        assert (c.is_demand, c.is_prefetch, c.is_writeback) == \
+            (True, False, False)
+
+
+class TestSharedOutcomes:
+    def test_every_miss_returns_the_one_read_only_miss(self):
+        c = make_cache()
+        first, second = c.access(ctx(0)), c.access(ctx(5))
+        assert first is MISS and second is MISS
+        assert (MISS.hit, MISS.way) == (False, None)
+        with pytest.raises(AttributeError):
+            MISS.hit = True
+        with pytest.raises(AttributeError):
+            MISS.way = 0
+
+    def test_hits_share_one_read_only_outcome_per_way(self):
+        c = make_cache(sets=1, ways=2)
+        c.fill(ctx(0))
+        c.fill(ctx(1))
+        hit = c.access(ctx(1))
+        assert hit == AccessOutcome(hit=True, way=1)
+        assert c.access(ctx(1)) is hit
+        with pytest.raises(AttributeError):
+            hit.way = 0

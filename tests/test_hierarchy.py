@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.slice_hash import SliceHash
 from repro.sim.config import CacheConfig, DRAMConfig, SystemConfig
 from repro.traces.trace import MemoryAccess
 
@@ -130,3 +131,42 @@ class TestResetStats:
         # Contents preserved: re-access is a cheap hit.
         latency = h.demand_access(0, acc(0x10000), cycle=1000)
         assert latency < 20
+
+
+class TestSliceHashedOncePerVisit:
+    """Every LLC visit hashes its block to the home slice exactly once."""
+
+    @staticmethod
+    def spied_hierarchy(monkeypatch):
+        hashed = []
+        original = SliceHash.slice_of
+
+        def spy(self, block):
+            hashed.append(block)
+            return original(self, block)
+
+        monkeypatch.setattr(SliceHash, "slice_of", spy)
+        h, _ = make_hierarchy(num_cores=16, prefetcher="baseline")
+        return h, hashed
+
+    def test_l2_miss_demand_access(self, monkeypatch):
+        h, hashed = self.spied_hierarchy(monkeypatch)
+        h.demand_access(0, acc(0x10000), cycle=0)
+        assert h.core_stats[0].llc_accesses == 1
+        assert hashed.count(0x10000 // 64) == 1
+        # Its prefetches hash their own blocks, once each.
+        assert len(hashed) == 1 + h.llc.aggregate_stats().prefetch_accesses
+
+    def test_issued_prefetch(self, monkeypatch):
+        h, hashed = self.spied_hierarchy(monkeypatch)
+        _l1_pf, l2_pf = h.prefetchers[0]
+        h._issue_prefetch(0, 0x400, 0x777, "l2", 0, l2_pf)
+        assert l2_pf.stats.issued == 1
+        assert hashed.count(0x777) == 1
+        assert h.llc.aggregate_stats().prefetch_accesses == 1
+
+    def test_writeback_into_the_llc(self, monkeypatch):
+        h, hashed = self.spied_hierarchy(monkeypatch)
+        h._writeback_to_llc(0, 0x999, cycle=10)
+        assert h.llc.aggregate_stats().writeback_fills == 1
+        assert hashed.count(0x999) == 1

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 
 from repro.cache.block import DEMAND, AccessContext
 from repro.cache.cache import Cache
-from repro.cache.slice_hash import SliceHash
+from repro.cache.slice_hash import SliceHash, fold_xor_slice, modulo_slice
 from repro.core.dynamic_sampler import DynamicSampledSets
 from repro.core.signature import make_signature, mix64
 from repro.cpu.core_model import CoreTiming
+from repro.dram.controller import DRAMController
 from repro.interconnect.topology import MeshTopology
 from repro.metrics.speedup import (
     harmonic_speedup,
     unfairness,
     weighted_speedup,
 )
+from repro.replacement.hawkeye import HawkeyePolicy
 from repro.replacement.hawkeye.optgen import OptGen
 from repro.replacement.lru import LRUPolicy
 from repro.replacement.mockingjay.predictor import (
@@ -84,6 +86,16 @@ class TestSliceHashProperties:
         sh = SliceHash(num_slices)
         assert 0 <= sh.slice_of(block) < num_slices
 
+    @given(st.integers(min_value=0, max_value=2**58),
+           st.integers(min_value=1, max_value=64),
+           st.sampled_from(["fold_xor", "modulo"]))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_of_matches_the_hash_function(self, block, num_slices,
+                                                scheme):
+        fn = fold_xor_slice if scheme == "fold_xor" else modulo_slice
+        assert SliceHash(num_slices, scheme).slice_of(block) == \
+            int(fn(block, num_slices))
+
     @given(st.integers(min_value=0, max_value=2**48))
     @settings(max_examples=100, deadline=None)
     def test_mix64_deterministic(self, x):
@@ -97,6 +109,26 @@ class TestSliceHashProperties:
     def test_signature_in_table(self, pc, core, pf, bits):
         sig = make_signature(pc, core, pf, bits)
         assert 0 <= sig < (1 << bits)
+
+    @given(st.integers(min_value=0, max_value=2**48),
+           st.integers(min_value=0, max_value=63),
+           st.booleans(),
+           st.integers(min_value=1, max_value=16))
+    @settings(max_examples=200, deadline=None)
+    def test_hawkeye_signature_is_make_signature(self, pc, core, pf, bits):
+        policy = HawkeyePolicy(64, 4, table_bits=bits)
+        assert policy._signature(pc, core, pf) == \
+            make_signature(pc, core, pf, bits)
+
+    @given(st.integers(min_value=0, max_value=2**40),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_dram_read_opens_the_mapped_row(self, block, channels, banks):
+        dram = DRAMController(num_channels=channels, banks_per_channel=banks)
+        dram.read(block, now=0)
+        channel, bank, row = dram._map(block)
+        assert dram._channels[channel].banks[bank].open_row == row
 
 
 class TestOptGenProperties:
