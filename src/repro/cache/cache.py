@@ -19,18 +19,22 @@ Replacement policies receive hook calls:
 * ``on_evict(set_idx, way, block, ctx)`` before a valid line leaves.
 
 A policy that keeps the base class's no-op ``on_evict`` is not called
-for it, and the base class's ``take_fill_latency`` is drained inline.
+for it.  After a fill the cache drains the policy's pending fill latency
+(:meth:`ReplacementPolicy.add_fill_latency`) itself; after a bypass it
+calls ``take_fill_latency``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.cache.block import INVALID_LINE, AccessContext, CacheBlock
-from repro.replacement.base import ReplacementPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.replacement.base import ReplacementPolicy
 
 
 @dataclass
@@ -126,10 +130,10 @@ class Cache:
         self._set_mask = num_sets - 1
         self._hit_outcomes = tuple(AccessOutcome(hit=True, way=way)
                                    for way in range(num_ways))
-        cls = type(policy)
-        self._calls_on_evict = cls.on_evict is not ReplacementPolicy.on_evict
-        self._calls_take_fill_latency = (
-            cls.take_fill_latency is not ReplacementPolicy.take_fill_latency)
+        # Imported here: repro.replacement.base imports repro.cache.
+        from repro.replacement.base import ReplacementPolicy
+        self._calls_on_evict = (type(policy).on_evict
+                                is not ReplacementPolicy.on_evict)
         self.track_set_stats = track_set_stats
         if track_set_stats:
             self.set_accesses = np.zeros(num_sets, dtype=np.int64)
@@ -153,7 +157,8 @@ class Cache:
         return self._ways[set_idx].get(block)
 
     def contains(self, block: int) -> bool:
-        return self.find_way(self.set_index(block), block) is not None
+        """True if *block* is resident (no side effects)."""
+        return block in self._ways[block & self._set_mask]
 
     # ------------------------------------------------------------------
     # Core operations
@@ -253,8 +258,6 @@ class Cache:
         if ctx.is_writeback:
             stats.writeback_fills += 1
         extra = policy.on_fill(set_idx, victim_way, ctx) or 0
-        if self._calls_take_fill_latency:
-            return evicted, extra + policy.take_fill_latency()
         # ReplacementPolicy.take_fill_latency, inline.
         pending = policy._pending_fill_latency
         if pending:

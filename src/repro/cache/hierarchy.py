@@ -149,14 +149,15 @@ class MemoryHierarchy:
     def _writeback_to_llc(self, core_id: int, block: int, cycle: int) -> None:
         ctx = AccessContext(pc=0, block=block, core_id=core_id,
                             is_write=True, kind=WRITEBACK, cycle=cycle)
-        slice_id = ctx.slice_id = self.llc.hash.slice_of(block)
+        llc = self.llc
+        slice_id = ctx.slice_id = llc.slice_of(block)
         self.mesh.latency(core_id, slice_id, traffic_class="writeback")
-        llc_slice = self.llc.slices[slice_id]
-        if block in llc_slice._ways[block & llc_slice._set_mask]:
+        llc_slice = llc.slices[slice_id]
+        if llc_slice.contains(block):
             # Present: just mark dirty (counted as a writeback access).
             llc_slice.access(ctx)
             return
-        evicted = llc_slice.fill(ctx)[0]
+        evicted = llc.fill(ctx, slice_id)[0]
         if evicted is not None:
             self._handle_llc_eviction(evicted, cycle)
 
@@ -164,7 +165,7 @@ class MemoryHierarchy:
         l2 = self.l2[core_id]
         ctx = AccessContext(pc=0, block=block, core_id=core_id,
                             is_write=True, kind=WRITEBACK, cycle=cycle)
-        if block in l2._ways[block & l2._set_mask]:
+        if l2.contains(block):
             l2.access(ctx)
             return
         evicted = l2.fill(ctx)[0]
@@ -230,7 +231,7 @@ class MemoryHierarchy:
             return latency
 
         stats.l2_misses += 1
-        latency = self.llc_demand(core_id, ctx, self.llc.hash.slice_of(block),
+        latency = self.llc_demand(core_id, ctx, self.llc.slice_of(block),
                                   cycle, latency)
         self._fill_l2(core_id, ctx, cycle)
         self._fill_l1(core_id, ctx, cycle)
@@ -266,7 +267,7 @@ class MemoryHierarchy:
                                               now=int(cycle + latency))
                 latency += dram_latency
                 self._note_pending(block, cycle + latency)
-            evicted, extra = llc_slice.fill(ctx)
+            evicted, extra = self.llc.fill(ctx, slice_id)
             latency += extra
             if evicted is not None:
                 self._handle_llc_eviction(evicted, int(cycle + latency))
@@ -288,7 +289,7 @@ class MemoryHierarchy:
                          core_id: int) -> None:
         if way is None:
             return
-        line = cache._sets[block & cache._set_mask][way]
+        line = cache.blocks_in_set(cache.set_index(block))[way]
         line.is_prefetch = False  # first demand touch consumes the credit
 
     # ------------------------------------------------------------------
@@ -296,13 +297,9 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def _issue_prefetch(self, core_id: int, pc: int, block: int,
                         fill_level: str, cycle: int, prefetcher) -> None:
-        # Tag checks read the caches' block -> way maps directly.
-        l2 = self.l2[core_id]
-        if fill_level == "l1":
-            l1 = self.l1[core_id]
-            if block in l1._ways[block & l1._set_mask]:
-                return
-        if block in l2._ways[block & l2._set_mask]:
+        if fill_level == "l1" and self.l1[core_id].contains(block):
+            return
+        if self.l2[core_id].contains(block):
             if fill_level == "l1":
                 ctx = AccessContext(pc=pc, block=block, core_id=core_id,
                                     kind=PREFETCH, cycle=cycle)
@@ -310,19 +307,19 @@ class MemoryHierarchy:
                 prefetcher.stats.issued += 1
             return
         prefetcher.stats.issued += 1
-        slice_id = self.llc.hash.slice_of(block)
+        llc = self.llc
+        slice_id = llc.slice_of(block)
         ctx = AccessContext(pc=pc, block=block, core_id=core_id,
                             kind=PREFETCH, cycle=cycle, slice_id=slice_id)
         latency = float(self.config.l2.latency)
-        llc_slice = self.llc.slices[slice_id]
-        if not llc_slice.access(ctx).hit:
+        if not llc.slices[slice_id].access(ctx).hit:
             latency += self.mesh.latency(core_id, slice_id,
                                          traffic_class="prefetch")
             latency += self.config.llc_latency
             if self._pending_fill.get(block, 0) <= cycle + latency:
                 latency += self.dram.read(block, now=int(cycle + latency))
                 self._note_pending(block, cycle + latency)
-            evicted = llc_slice.fill(ctx)[0]
+            evicted = llc.fill(ctx, slice_id)[0]
             if evicted is not None:
                 self._handle_llc_eviction(evicted, int(cycle + latency))
         self._fill_l2(core_id, ctx, cycle)

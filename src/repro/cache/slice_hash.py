@@ -25,24 +25,16 @@ from typing import Union
 
 import numpy as np
 
+from repro.core.signature import mix64
+
 ArrayOrInt = Union[int, np.ndarray]
 
 # Mixing constant from splitmix64; gives good avalanche with one multiply.
 _MIX = 0xBF58476D1CE4E5B9
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64_scalar(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`repro.core.signature.mix64` over a uint64 array."""
     x = x.astype(np.uint64)
     x ^= x >> np.uint64(30)
     x = x * np.uint64(_MIX)
@@ -62,7 +54,7 @@ def fold_xor_slice(block: ArrayOrInt, num_slices: int) -> ArrayOrInt:
     if isinstance(block, np.ndarray):
         hashed = _mix64_array(block)
         return (hashed % np.uint64(num_slices)).astype(np.int64)
-    return _mix64_scalar(block) % num_slices
+    return mix64(block) % num_slices
 
 
 def modulo_slice(block: ArrayOrInt, num_slices: int) -> ArrayOrInt:
@@ -94,22 +86,11 @@ class SliceHash:
         self._fn = fold_xor_slice if self._fold else modulo_slice
 
     def slice_of(self, block: int) -> int:
-        """Slice id for a single block number.
-
-        The same value as ``int(fold_xor_slice(block, n))`` (or
-        ``modulo_slice``), computed in this one call: every LLC visit
-        hashes its block here.
-        """
-        block = int(block)
-        if not self._fold:
-            return block % self.num_slices
-        x = block & _MASK64  # _mix64_scalar, inline
-        x ^= x >> 30
-        x = (x * _MIX) & _MASK64
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-        return x % self.num_slices
+        """Slice id for a single block number (every LLC visit hashes
+        its block here, so the scheme is resolved at construction)."""
+        if self._fold:
+            return mix64(int(block)) % self.num_slices
+        return int(block) % self.num_slices
 
     def slices_of(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised slice ids for an array of block numbers."""

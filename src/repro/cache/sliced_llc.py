@@ -123,10 +123,17 @@ class SlicedLLC:
         ctx.slice_id = self.slice_of(ctx.block)
         return self.slices[ctx.slice_id].access(ctx).hit
 
-    def fill(self, ctx: AccessContext) -> Tuple[Optional[EvictedBlock], int]:
-        """Install into the home slice; returns (evicted, extra_latency)."""
-        ctx.slice_id = self.slice_of(ctx.block)
-        return self.slices[ctx.slice_id].fill(ctx)
+    def fill(self, ctx: AccessContext, slice_id: Optional[int] = None
+             ) -> Tuple[Optional[EvictedBlock], int]:
+        """Install into the home slice; returns (evicted, extra_latency).
+
+        A caller that has already hashed ``ctx.block`` passes its home
+        *slice_id* so the block is hashed once per LLC visit.
+        """
+        if slice_id is None:
+            slice_id = self.slice_of(ctx.block)
+        ctx.slice_id = slice_id
+        return self.slices[slice_id].fill(ctx)
 
     def contains(self, block: int) -> bool:
         return self.slices[self.slice_of(block)].contains(block)

@@ -47,5 +47,11 @@ def make_signature(pc: int, core_id: int = 0, is_prefetch: bool = False,
     Returns:
         An index in ``[0, 2**table_bits)``.
     """
-    key = (pc << 7) ^ (core_id << 1) ^ (1 if is_prefetch else 0)
-    return mix64(key) & ((1 << table_bits) - 1)
+    # mix64(key), inline: every predictor lookup and training computes one.
+    x = ((pc << 7) ^ (core_id << 1) ^ (1 if is_prefetch else 0)) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x & ((1 << table_bits) - 1)

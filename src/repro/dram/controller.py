@@ -110,11 +110,9 @@ class DRAMController:
     # ------------------------------------------------------------------
     def read(self, block: int, now: int) -> int:
         """Fetch a line; returns the latency the requester observes."""
-        # _map, inline: every LLC miss reads.
-        row = block // self._blocks_per_row
-        hashed = mix64(row)
-        channel = self._channels[hashed % self.num_channels]
-        bank = channel.banks[(hashed >> 8) % self.banks_per_channel]
+        channel_id, bank_id, row = self._map(block)
+        channel = self._channels[channel_id]
+        bank = channel.banks[bank_id]
         stats = self.stats
         if bank.open_row == row:
             array_latency = self._row_hit_latency

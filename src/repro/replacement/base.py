@@ -67,14 +67,18 @@ class ReplacementPolicy:
         """Accumulate fill-path latency (e.g. a remote predictor lookup).
 
         Policies that decide bypass in :meth:`choose_victim` consult their
-        predictor there; the cache collects the charge afterwards via
-        :meth:`take_fill_latency` (inlined for policies that keep this
-        class's), whether or not a fill happened.
+        predictor there; the cache collects the charge afterwards,
+        whether or not a fill happened.
         """
         self._pending_fill_latency += cycles
 
     def take_fill_latency(self) -> int:
-        """Drain accumulated fill-path latency (called by the cache)."""
+        """Drain accumulated fill-path latency.
+
+        The cache calls this after a bypass and drains
+        ``_pending_fill_latency`` inline after a fill, so policies must
+        not override it.
+        """
         cycles = self._pending_fill_latency
         self._pending_fill_latency = 0
         return cycles

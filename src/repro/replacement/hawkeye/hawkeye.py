@@ -27,13 +27,13 @@ from typing import Dict, Optional, Sequence
 from repro.cache.block import AccessContext, CacheBlock
 from repro.core.predictor_fabric import PredictorFabric, PredictorScope
 from repro.core.sampled_sets import SampledSetSelector, StaticSampledSets
+from repro.core.signature import make_signature
 from repro.replacement.base import ReplacementPolicy
 from repro.replacement.hawkeye.optgen import OptGen
 from repro.replacement.hawkeye.predictor import HawkeyePredictor
 from repro.replacement.sampled_cache import SampledCache
 
 RRPV_MAX = 7  # 3-bit RRIP per line (Table 3's 12 KB)
-_MASK64 = (1 << 64) - 1
 
 
 def default_hawkeye_fabric(table_bits: int = 13) -> PredictorFabric:
@@ -69,7 +69,6 @@ class HawkeyePolicy(ReplacementPolicy):
         super().__init__(num_sets, num_ways)
         self.slice_id = slice_id
         self.table_bits = table_bits
-        self._sig_mask = (1 << table_bits) - 1
         self.fabric = fabric if fabric is not None else \
             default_hawkeye_fabric(table_bits)
         self.selector = selector if selector is not None else \
@@ -81,15 +80,7 @@ class HawkeyePolicy(ReplacementPolicy):
 
     # ------------------------------------------------------------------
     def _signature(self, pc: int, core_id: int, is_prefetch: bool) -> int:
-        """``make_signature(pc, core_id, is_prefetch, self.table_bits)``
-        in one call (every fill and sampled access computes one)."""
-        x = ((pc << 7) ^ (core_id << 1) ^ (1 if is_prefetch else 0)) & _MASK64
-        x ^= x >> 30  # splitmix64 finaliser, as in repro.core.signature.mix64
-        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-        return x & self._sig_mask
+        return make_signature(pc, core_id, is_prefetch, self.table_bits)
 
     def _optgen_for(self, set_idx: int) -> OptGen:
         gen = self._optgen.get(set_idx)

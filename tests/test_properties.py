@@ -10,14 +10,12 @@ from repro.cache.slice_hash import SliceHash, fold_xor_slice, modulo_slice
 from repro.core.dynamic_sampler import DynamicSampledSets
 from repro.core.signature import make_signature, mix64
 from repro.cpu.core_model import CoreTiming
-from repro.dram.controller import DRAMController
 from repro.interconnect.topology import MeshTopology
 from repro.metrics.speedup import (
     harmonic_speedup,
     unfairness,
     weighted_speedup,
 )
-from repro.replacement.hawkeye import HawkeyePolicy
 from repro.replacement.hawkeye.optgen import OptGen
 from repro.replacement.lru import LRUPolicy
 from repro.replacement.mockingjay.predictor import (
@@ -115,20 +113,10 @@ class TestSliceHashProperties:
            st.booleans(),
            st.integers(min_value=1, max_value=16))
     @settings(max_examples=200, deadline=None)
-    def test_hawkeye_signature_is_make_signature(self, pc, core, pf, bits):
-        policy = HawkeyePolicy(64, 4, table_bits=bits)
-        assert policy._signature(pc, core, pf) == \
-            make_signature(pc, core, pf, bits)
-
-    @given(st.integers(min_value=0, max_value=2**40),
-           st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=8))
-    @settings(max_examples=200, deadline=None)
-    def test_dram_read_opens_the_mapped_row(self, block, channels, banks):
-        dram = DRAMController(num_channels=channels, banks_per_channel=banks)
-        dram.read(block, now=0)
-        channel, bank, row = dram._map(block)
-        assert dram._channels[channel].banks[bank].open_row == row
+    def test_signature_is_masked_mix64(self, pc, core, pf, bits):
+        key = (pc << 7) ^ (core << 1) ^ (1 if pf else 0)
+        assert make_signature(pc, core, pf, bits) == \
+            mix64(key) & ((1 << bits) - 1)
 
 
 class TestOptGenProperties:

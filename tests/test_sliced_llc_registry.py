@@ -138,6 +138,15 @@ class TestSlicedLLC:
         assert llc.access(ctx(7))
         assert llc.contains(7)
 
+    def test_fill_with_known_slice_matches_hashed_fill(self):
+        routed, hashed = self.make(), self.make()
+        c = ctx(7)
+        routed.fill(c, routed.slice_of(7))
+        hashed.fill(ctx(7))
+        assert c.slice_id == routed.slice_of(7)
+        assert [sl.contains(7) for sl in routed.slices] == \
+            [sl.contains(7) for sl in hashed.slices]
+
     def test_aggregate_stats_sum_slices(self):
         llc = self.make()
         for b in range(40):
