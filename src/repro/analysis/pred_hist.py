@@ -11,7 +11,7 @@ The helpers read predictor tables out of a finished simulation's fabric.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.predictor_fabric import PredictorFabric
 from repro.replacement.hawkeye.predictor import HawkeyePredictor

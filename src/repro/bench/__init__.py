@@ -16,15 +16,28 @@ JSON artefacts at the repository root:
 
 Artefacts are merged per *mode* (``smoke`` / ``full``) so both records
 can coexist in one file; re-running a mode overwrites only that mode's
-entry.  ``--check`` compares the fresh vector throughput against the
-committed same-mode baseline and fails on a >30 % regression
-(tolerance-gated; skipped when no baseline exists).
+entry.
+
+Throughputs are best-of-N per CPU-second (``time.process_time``), and
+each is also recorded *normalised*: divided by the median rate of a
+fixed pure-Python calibration loop (:func:`calibrate`) sampled before
+every timed run of the same invocation.  The simulator is interpreted
+Python too, so the normalised figure moves with the code, not with the
+host.
+``--check`` gates the normalised throughput of **each** kernel, as a
+geometric mean over the unit workloads and the sweep, against the
+committed same-mode baseline and fails when it drops more than
+:data:`REGRESSION_TOLERANCE` allows (skipped when no baseline exists).  Gating the vector/reference ratio
+instead would let a change that slows both kernels equally pass, and
+would fail whenever the reference oracle got faster.
 
 Every timed configuration is first asserted bit-identical across the
 two kernels — a benchmark of a wrong kernel is worthless.  Timings are
-best-of-N with the trace's SoA arrays warm after the first repeat,
-which matches production use (arrays are built once and cached on the
-immutable trace; see :meth:`repro.traces.trace.Trace.as_arrays`).
+best-of-N, and every repetition runs on fresh copies of its traces, so
+no repetition reuses the SoA arrays or the vector kernel's private-level
+classification an earlier one cached on the immutable trace (see
+:meth:`repro.traces.trace.Trace.derived`); a cold sweep pays both once
+per trace too.
 
 This module is *not* part of the deterministic hot set — wall-clock
 reads are confined here and to the artefacts it writes.
@@ -35,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -55,6 +69,7 @@ __all__ = [
     "SWEEP_BENCH_FILE",
     "REGRESSION_TOLERANCE",
     "BenchRegression",
+    "calibrate",
     "hot_loop_spec",
     "unit_config",
     "assert_kernels_equivalent",
@@ -67,20 +82,23 @@ __all__ = [
     "run_bench",
 ]
 
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 KERNEL_BENCH_FILE = "BENCH_kernel.json"
 SWEEP_BENCH_FILE = "BENCH_sweep.json"
 
-#: ``--check`` fails when fresh vector throughput drops below this
-#: fraction of the committed baseline (0.7 == a >30 % regression).
-#: Loose on purpose: the speedup ratio is hardware-independent but
-#: not contention-independent, and miss-heavy units sit near 1.6x.
-REGRESSION_TOLERANCE = 0.7
+#: ``--check`` fails when a kernel's fresh normalised throughput, as a
+#: geometric mean over the unit workloads and the sweep, drops below
+#: this fraction of the committed baseline (0.85 == a >15 %
+#: regression), so a 30 % slowdown of either kernel fails the gate.
+REGRESSION_TOLERANCE = 0.85
+
+#: Iterations of the fixed calibration loop (:func:`calibrate`).
+CALIB_LOOPS = 400_000
 
 #: accesses per unit workload, per mode.
 _UNIT_ACCESSES = {"smoke": {"hot_loop": 200_000, "mcf": 40_000},
                   "full": {"hot_loop": 500_000, "mcf": 150_000}}
-_UNIT_REPEATS = {"smoke": 3, "full": 4}
+_UNIT_REPEATS = {"smoke": 5, "full": 5}
 _SWEEP_CORES = {"smoke": (4,), "full": (4, 16)}
 
 
@@ -184,18 +202,38 @@ def assert_kernels_equivalent(config: SystemConfig,
             f"policy={config.llc_policy!r}")
 
 
+def calibrate() -> float:
+    """Loops per CPU-second of a fixed pure-Python loop: how fast this
+    host runs interpreted code right now."""
+    acc = 0
+    start = time.process_time()
+    for i in range(CALIB_LOOPS):
+        acc = (acc + i * i) % 1_000_003
+    return CALIB_LOOPS / (time.process_time() - start)
+
+
+def _normalised(per_s: float, loops_per_s: float) -> float:
+    """*per_s* per million calibration loops per second."""
+    return float(f"{per_s / loops_per_s * 1e6:.6g}")
+
+
 def time_kernel(config: SystemConfig, traces: Sequence[Trace],
-                kernel: str, repeats: int) -> float:
-    """Best-of-*repeats* wall seconds for one full ``Simulator.run``."""
+                kernel: str, repeats: int,
+                calibration: List[float]) -> float:
+    """Best-of-*repeats* CPU seconds for one full ``Simulator.run``, each
+    on fresh copies of *traces* (nothing cached on them).  A
+    :func:`calibrate` sample taken just before each run is appended to
+    *calibration*."""
     best = float("inf")
     for _ in range(repeats):
         cfg = dataclasses.replace(config)
         cfg.llc_policy_params = dict(config.llc_policy_params)
         cfg.sim_kernel = kernel
-        sim = Simulator(cfg, list(traces))
-        start = time.perf_counter()
+        sim = Simulator(cfg, [Trace(t.name, t.accesses) for t in traces])
+        calibration.append(calibrate())
+        start = time.process_time()
         sim.run()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
         if (sim.kernel_used or "reference") != kernel:
             raise AssertionError(
                 f"requested kernel {kernel!r} but ran "
@@ -203,16 +241,19 @@ def time_kernel(config: SystemConfig, traces: Sequence[Trace],
     return best
 
 
-def unit_throughput(mode: str) -> Dict:
-    """Serial accesses/second of both kernels on the unit workloads."""
+def unit_throughput(mode: str, calibration: List[float]) -> Dict:
+    """Serial accesses per CPU-second of both kernels on the unit
+    workloads (*calibration* as for :func:`time_kernel`)."""
     repeats = _UNIT_REPEATS[mode]
     out: Dict[str, Dict] = {}
     for workload, accesses in _UNIT_ACCESSES[mode].items():
         config = unit_config()
         traces = _unit_traces(workload, accesses, config)
         assert_kernels_equivalent(config, traces)
-        t_ref = time_kernel(config, traces, "reference", repeats)
-        t_vec = time_kernel(config, traces, "vector", repeats)
+        t_ref = time_kernel(config, traces, "reference", repeats,
+                            calibration)
+        t_vec = time_kernel(config, traces, "vector", repeats,
+                            calibration)
         out[workload] = {
             "accesses": accesses,
             "repeats": repeats,
@@ -237,8 +278,10 @@ class _SweepPlan:
                    for c in self.cores)
 
 
-def sweep_throughput(mode: str) -> Dict:
-    """Cells/second of a small policy × mix sweep under each kernel.
+def sweep_throughput(mode: str, calibration: List[float]) -> Dict:
+    """Cells per CPU-second of a small policy × mix sweep under each
+    kernel, best of two alternating runs each (*calibration* as for
+    :func:`time_kernel`).
 
     Runs the bench experiment profile's mixes directly through
     :func:`repro.sim.runner.run_mix` — deliberately bypassing the sweep
@@ -273,16 +316,19 @@ def sweep_throughput(mode: str) -> Dict:
                          _fingerprint(result.result)))
         return fingerprints
 
-    # Equivalence gate: every cell, both kernels, compared bit-exactly.
-    if build_cells("reference") != build_cells("vector"):
-        raise AssertionError("sweep cells disagree across kernels")
-
-    timings = {}
-    for kernel in ("reference", "vector"):
-        start = time.perf_counter()
-        build_cells(kernel)
-        timings[kernel] = time.perf_counter() - start
     cells = plan.cells(profile)
+    timings = {"reference": float("inf"), "vector": float("inf")}
+    for _ in range(2):
+        fingerprints = {}
+        for kernel in ("reference", "vector"):
+            calibration.append(calibrate())
+            start = time.process_time()
+            fingerprints[kernel] = build_cells(kernel)
+            timings[kernel] = min(timings[kernel],
+                                  time.process_time() - start)
+        # Equivalence gate: every cell, both kernels, bit-exactly.
+        if fingerprints["reference"] != fingerprints["vector"]:
+            raise AssertionError("sweep cells disagree across kernels")
     return {
         "cells": cells,
         "core_counts": list(plan.cores),
@@ -344,38 +390,42 @@ def merge_mode_payload(path: Path, mode: str, payload: Dict) -> Dict:
 def check_against_baseline(baseline: Dict, mode: str,
                            fresh_kernel: Dict,
                            fresh_sweep: Optional[Dict]) -> List[str]:
-    """Regression messages for the vector *speedup* vs a committed record.
+    """Regression messages for each kernel's normalised throughput vs a
+    committed record.
 
-    The gate compares the vector/reference ratio, not absolute
-    throughput: both backends are timed on the same machine in the same
-    run, so the ratio is hardware-independent and safe to enforce on CI
-    runners slower than the machine that recorded the baseline.  Empty
-    when within :data:`REGRESSION_TOLERANCE` or when the baseline has no
-    same-mode entry (first recording is never a regression).
+    For each kernel, the ratio of fresh to committed ``<kernel>_norm``
+    (throughput divided by the same run's calibration-loop rate) is
+    taken on every unit workload and on the sweep, and their geometric
+    mean must stay at or above :data:`REGRESSION_TOLERANCE`.  A host
+    that runs everything slower also runs the calibration loop slower,
+    so a slower CI runner passes, while a slowdown of either kernel, or
+    of both, fails.  The mean damps the run-to-run spread of single
+    rows on a shared host.  Empty when the baseline has no same-mode
+    entry (first recording is never a regression).
     """
     problems: List[str] = []
     base_mode = baseline.get("modes", {}).get(mode)
     if not base_mode:
         return problems
-    for workload, fresh in fresh_kernel.items():
-        old = base_mode.get("unit", {}).get(workload)
-        if not old:
-            continue
-        floor = old["speedup"] * REGRESSION_TOLERANCE
-        if fresh["speedup"] < floor:
-            problems.append(
-                f"unit/{workload}: vector speedup {fresh['speedup']:.2f}x "
-                f"< {floor:.2f}x (tolerance floor of baseline "
-                f"{old['speedup']:.2f}x)")
+    base_unit = base_mode.get("unit") or {}
+    rows = [(f"unit/{workload}", fresh, base_unit.get(workload))
+            for workload, fresh in fresh_kernel.items()]
     if fresh_sweep is not None:
-        old_sweep = base_mode.get("sweep")
-        if old_sweep:
-            floor = old_sweep["speedup"] * REGRESSION_TOLERANCE
-            if fresh_sweep["speedup"] < floor:
-                problems.append(
-                    f"sweep: vector speedup {fresh_sweep['speedup']:.2f}x "
-                    f"< {floor:.2f}x (tolerance floor of baseline "
-                    f"{old_sweep['speedup']:.2f}x)")
+        rows.append(("sweep", fresh_sweep, base_mode.get("sweep")))
+    rows = [(name, fresh, old) for name, fresh, old in rows if old]
+    for kernel in ("reference", "vector"):
+        key = f"{kernel}_norm"
+        ratios = [(name, fresh[key] / old[key]) for name, fresh, old in rows]
+        if not ratios:
+            continue
+        score = statistics.geometric_mean(ratio for _name, ratio in ratios)
+        if score < REGRESSION_TOLERANCE:
+            detail = ", ".join(f"{name} {ratio:.2f}x"
+                               for name, ratio in ratios)
+            problems.append(
+                f"{kernel}: normalised throughput {score:.2f}x of the "
+                f"baseline < {REGRESSION_TOLERANCE}x (geometric mean of "
+                f"{detail})")
     return problems
 
 
@@ -391,8 +441,9 @@ def run_bench(mode: str, out_dir: Path, check: bool = False,
               skip_sweep: bool = False) -> Dict:
     """Run the full harness; write/merge artefacts; return a summary.
 
-    Raises :class:`BenchRegression` when *check* is set and the fresh
-    vector speedup is >30 % below the committed same-mode baseline.
+    Raises :class:`BenchRegression` when *check* is set and either
+    kernel's fresh normalised throughput is more than 15 % below the
+    committed same-mode baseline (:func:`check_against_baseline`).
 
     An ambient ``REPRO_SIM_KERNEL`` is suspended for the duration: the
     harness selects each backend explicitly per timed run, and the env
@@ -405,26 +456,43 @@ def run_bench(mode: str, out_dir: Path, check: bool = False,
     baseline_sweep = _load_artifact(sweep_path)
 
     ambient = os.environ.pop("REPRO_SIM_KERNEL", None)
+    calibration: List[float] = []
     try:
-        unit = unit_throughput(mode)
+        unit = unit_throughput(mode, calibration)
         build = trace_build_report(_UNIT_ACCESSES[mode]["hot_loop"])
-        sweep = None if skip_sweep else sweep_throughput(mode)
+        sweep = None if skip_sweep else sweep_throughput(mode, calibration)
     finally:
         if ambient is not None:
             os.environ["REPRO_SIM_KERNEL"] = ambient
-
-    problems = check_against_baseline(baseline_kernel, mode, unit, None)
+    # The median calibration sample: one sample taken at a moment of
+    # unusually high (or low) clock speed must not move every figure.
+    calib = {"loops": CALIB_LOOPS, "samples": len(calibration),
+             "loops_per_s": round(statistics.median(calibration), 1)}
+    rows = [(row, "acc") for row in unit.values()]
     if sweep is not None:
-        problems += check_against_baseline(baseline_sweep, mode, {}, sweep)
+        rows.append((sweep, "cells"))
+    for row, work in rows:
+        for kernel in ("reference", "vector"):
+            row[f"{kernel}_norm"] = _normalised(
+                row[f"{kernel}_{work}_per_s"], calib["loops_per_s"])
+
+    # One check over both files' rows, so each kernel's geometric mean
+    # spans the unit workloads and the sweep.
+    recorded = {name: data.get("modes", {}).get(mode, {}).get(name)
+                for name, data in (("unit", baseline_kernel),
+                                   ("sweep", baseline_sweep))}
+    problems = check_against_baseline({"modes": {mode: recorded}}, mode,
+                                      unit, sweep)
     if check and problems:
         raise BenchRegression("; ".join(problems))
 
     env = _environment()
     merge_mode_payload(kernel_path, mode,
-                       {"environment": env, "unit": unit,
-                        "trace_build": build})
+                       {"environment": env, "calibration": calib,
+                        "unit": unit, "trace_build": build})
     if sweep is not None:
         merge_mode_payload(sweep_path, mode,
-                           {"environment": env, "sweep": sweep})
-    return {"mode": mode, "unit": unit, "trace_build": build,
-            "sweep": sweep, "regressions": problems}
+                           {"environment": env, "calibration": calib,
+                            "sweep": sweep})
+    return {"mode": mode, "calibration": calib, "unit": unit,
+            "trace_build": build, "sweep": sweep, "regressions": problems}

@@ -28,8 +28,11 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small workloads (CI-sized, ~1 min)")
     parser.add_argument("--check", action="store_true",
-                        help="fail on >30%% vector-speedup regression vs "
-                             "the committed same-mode baseline")
+                        help="fail when either kernel's throughput, "
+                             "normalised by a calibration loop timed in "
+                             "the same run, falls >15%% below the "
+                             "committed same-mode baseline (geometric "
+                             "mean over the workloads)")
     parser.add_argument("--skip-sweep", action="store_true",
                         help="unit + trace-build only (no sweep timing)")
     parser.add_argument("--out", type=Path, default=Path("."),
@@ -45,20 +48,25 @@ def main(argv=None) -> int:
         return 1
 
     print(f"mode: {mode}")
+    print(f"  calibration: "
+          f"{summary['calibration']['loops_per_s']:,.0f} loops/s")
     for workload, row in summary["unit"].items():
         print(f"  unit/{workload}: reference "
-              f"{row['reference_acc_per_s']:,.0f} acc/s, vector "
+              f"{row['reference_acc_per_s']:,.0f} acc/s "
+              f"(norm {row['reference_norm']:.0f}), vector "
               f"{row['vector_acc_per_s']:,.0f} acc/s "
-              f"({row['speedup']:.2f}x)")
+              f"(norm {row['vector_norm']:.0f}, {row['speedup']:.2f}x)")
     build = summary["trace_build"]
     print(f"  trace build: {build['slots_bytes_per_record']} B/record @ "
           f"{build['slots_build_acc_per_s']:,.0f}/s")
     if summary["sweep"] is not None:
         sweep = summary["sweep"]
         print(f"  sweep ({sweep['cells']} cells): reference "
-              f"{sweep['reference_cells_per_s']} cells/s, vector "
+              f"{sweep['reference_cells_per_s']} cells/s "
+              f"(norm {sweep['reference_norm']:.4f}), vector "
               f"{sweep['vector_cells_per_s']} cells/s "
-              f"({sweep['speedup']:.2f}x)")
+              f"(norm {sweep['vector_norm']:.4f}, "
+              f"{sweep['speedup']:.2f}x)")
     print(f"  wrote {args.out / KERNEL_BENCH_FILE}"
           + ("" if summary["sweep"] is None
              else f" and {args.out / SWEEP_BENCH_FILE}"))

@@ -307,6 +307,18 @@ class MemoryHierarchy:
                 prefetcher.stats.issued += 1
             return
         prefetcher.stats.issued += 1
+        ctx = self.llc_prefetch(core_id, pc, block, cycle)
+        self._fill_l2(core_id, ctx, cycle)
+        if fill_level == "l1":
+            self._fill_l1(core_id, ctx, cycle)
+
+    def llc_prefetch(self, core_id: int, pc: int, block: int,
+                     cycle: int) -> AccessContext:
+        """The LLC half of a prefetch that missed both private levels:
+        probe the home slice and, on a miss, fetch *block* (riding an
+        in-flight fill that lands in time, else a DRAM read) and fill
+        the LLC.  Returns the prefetch's context for the private fills
+        that follow."""
         llc = self.llc
         slice_id = llc.slice_of(block)
         ctx = AccessContext(pc=pc, block=block, core_id=core_id,
@@ -322,9 +334,7 @@ class MemoryHierarchy:
             evicted = llc.fill(ctx, slice_id)[0]
             if evicted is not None:
                 self._handle_llc_eviction(evicted, int(cycle + latency))
-        self._fill_l2(core_id, ctx, cycle)
-        if fill_level == "l1":
-            self._fill_l1(core_id, ctx, cycle)
+        return ctx
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:

@@ -34,13 +34,20 @@ _MIX = 0xBF58476D1CE4E5B9
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """:func:`repro.core.signature.mix64` over a uint64 array."""
+    """:func:`repro.core.signature.mix64` over a uint64 array.
+
+    Mixes one copy of *x* in place, with one reused shift buffer.
+    """
     x = x.astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x = x * np.uint64(_MIX)
-    x ^= x >> np.uint64(27)
-    x = x * np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    shifted = np.empty_like(x)
+    np.right_shift(x, np.uint64(30), out=shifted)
+    x ^= shifted
+    x *= np.uint64(_MIX)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
     return x
 
 
@@ -53,7 +60,11 @@ def fold_xor_slice(block: ArrayOrInt, num_slices: int) -> ArrayOrInt:
     """
     if isinstance(block, np.ndarray):
         hashed = _mix64_array(block)
-        return (hashed % np.uint64(num_slices)).astype(np.int64)
+        if num_slices & (num_slices - 1) == 0:
+            hashed &= np.uint64(num_slices - 1)
+        else:
+            hashed %= np.uint64(num_slices)
+        return hashed.astype(np.int64)
     return mix64(block) % num_slices
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.opt_bound import (
-    OPTResult,
     llc_stream_from_trace,
     lru_misses,
     opt_misses,

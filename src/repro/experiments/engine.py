@@ -78,6 +78,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.runner import MixResult, run_alone, run_mix
 from repro.traces.mixes import MixSpec, make_mix, make_mix_trace, \
     mix_trace_name
+from repro.traces.trace import Trace
 
 __all__ = [
     "SweepEngine",
@@ -714,22 +715,35 @@ class SweepEngine:
                     stats: SweepStats) -> None:
         """Serial fallback: same units, same seeds, one process.
 
-        Traces are generated once per (core count, mix) and shared
-        across that mix's units, mirroring the historical sweep loop;
-        a failed unit is retried in place (recomputation is
+        Each distinct trace is generated once per core count, keyed by
+        its canonical name, and shared by every unit and every mix that
+        runs it (a heterogeneous mix's ``mcf`` core and the homogeneous
+        ``mcf`` mix's core of the same index are one trace object, so
+        they also share the vector kernel's classification cached on
+        it); a failed unit is retried in place (recomputation is
         deterministic, so a crash-then-succeed unit yields the exact
         bytes a fault-free run would).
         """
         base_cfgs: Dict[int, SystemConfig] = {}
-        trace_memo: Dict[Tuple[int, str], list] = {}
+        trace_memo: Dict[Tuple[int, str], Trace] = {}
+        mix_memo: Dict[Tuple[int, str], List[Trace]] = {}
 
-        def traces_for(cores: int, mix: MixSpec):
+        def traces_for(cores: int, mix: MixSpec) -> List[Trace]:
             memo_key = (cores, mix.name)
-            if memo_key not in trace_memo:
-                trace_memo[memo_key] = make_mix(
-                    mix, base_cfgs[cores],
-                    profile.scale.accesses_per_core, seed=profile.seed)
-            return trace_memo[memo_key]
+            if memo_key not in mix_memo:
+                traces = []
+                for core_index, workload in enumerate(mix.workloads):
+                    trace_key = (cores, mix_trace_name(
+                        workload, profile.seed, core_index,
+                        spec=mix.resolve(workload)))
+                    if trace_key not in trace_memo:
+                        trace_memo[trace_key] = make_mix_trace(
+                            mix, core_index, base_cfgs[cores],
+                            profile.scale.accesses_per_core,
+                            seed=profile.seed)
+                    traces.append(trace_memo[trace_key])
+                mix_memo[memo_key] = traces
+            return mix_memo[memo_key]
 
         for cores in sorted({t.cores for t in alone_pending} |
                             {t.cores for t in cell_pending}):

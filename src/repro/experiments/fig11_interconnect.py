@@ -19,7 +19,7 @@ from repro.experiments.common import (
     pct,
     render_table,
 )
-from repro.sim.runner import MixResult, run_mix
+from repro.sim.runner import run_mix
 from repro.traces.mixes import make_mix
 
 LATENCY_SWEEP = (1, 3, 5, 10, 20, 30)

@@ -14,12 +14,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.drishti import DrishtiConfig
 from repro.core.dynamic_sampler import DynamicSampledSets
 from repro.core.nocstar import NOCSTAR
-from repro.core.predictor_fabric import PredictorFabric, PredictorScope
+from repro.core.predictor_fabric import PredictorFabric
 from repro.core.sampled_sets import SampledSetSelector, StaticSampledSets
 from repro.interconnect.mesh import MeshNoC
 from repro.replacement.base import ReplacementPolicy

@@ -14,31 +14,45 @@ sequence the reference path would.
 Correctness argument (golden-pinned by ``tests/test_simulator_golden.py``
 and the differential property tests):
 
-* **Eligibility** (:func:`kernel_fallback_reasons`): with
-  ``prefetcher == "none"``, no TLB, a non-inclusive LLC and no telemetry,
-  nothing downstream of the private caches ever writes *into* them, and
-  the order-based L1 LRU / L2 SRRIP policies depend only on the access
-  sequence, never on cycle values.  Private cache *content* is therefore
-  a pure function of each core's access order, which is fixed by the
-  trace.  Ineligible configs automatically fall back to the reference
-  path, per feature, with human-readable reasons.
-* **Phase A** (:meth:`VectorKernel._classify_core`): a lean, order-exact
-  replica of one core's L1/L2 content evolution classifies every access
-  into {0: L1 hit, 1: L2 hit, 2: L2 miss} and records, per access, the
-  blocks whose dirty evictions the reference path would write back to
-  the LLC (in reference call order).
+* **Eligibility** (:func:`kernel_fallback_reasons`): with no TLB, a
+  non-inclusive LLC and no telemetry, nothing downstream of the private
+  caches ever writes *into* them, and the order-based L1 LRU / L2 SRRIP
+  policies depend only on the access sequence, never on cycle values.
+  Prefetchers do not change that: ``_issue_prefetch`` decides every
+  L1/L2 fill from L1/L2 contents alone, and ``Prefetcher.observe`` sees
+  only ``(pc, block, hit)``.  Private cache *content* is therefore a
+  pure function of each core's access order, which is fixed by the
+  trace, with or without prefetchers.  Ineligible configs automatically
+  fall back to the reference path, per feature, with human-readable
+  reasons.
+* **Phase A** (:func:`_classify`, cached per trace by
+  :meth:`VectorKernel._classify_core`): a lean, order-exact replica of
+  one core's L1/L2 content evolution, driven together with fresh
+  instances of the config's prefetcher pair, classifies every access
+  into {0: L1 hit, 1: L2 hit, 2: L2 miss} and records, per access and
+  in reference call order, the LLC-bound operations ``demand_access``
+  and ``_issue_prefetch`` would make: prefetch requests that miss both
+  private levels, the writebacks their fills cause, and the writebacks
+  of the demand's own fills.  The product depends only on the trace,
+  the L1/L2 geometry and the prefetcher, so it is cached on the
+  :class:`~repro.traces.trace.Trace` and shared by every run of it.
 * **Phase B** (:meth:`~repro.sim.simulator.Simulator.run`, the one
   driver loop of both backends): replays timing and all shared state
   against the real ``CoreTiming`` / LLC / mesh / DRAM / pending-fill
   objects in the verbatim reference operation order; the driver calls
-  :meth:`VectorKernel.step` per access, and an L2 miss takes the same
-  :meth:`~repro.cache.hierarchy.MemoryHierarchy.llc_demand` the
-  reference ``demand_access`` does.  Runs of trivial L1 hits
-  (non-dependent, no in-flight fill for their blocks, empty MSHR file)
-  are found by :meth:`VectorKernel.run_end` and advance the core clock
-  via ``np.add.accumulate`` (:meth:`VectorKernel.fast_forward`), which
-  reproduces the scalar loop's float adds bit-for-bit because ufunc
-  accumulation is defined as strictly sequential.
+  :meth:`VectorKernel.step` per access, which issues the recorded
+  prefetch requests through
+  :meth:`~repro.cache.hierarchy.MemoryHierarchy.llc_prefetch` and, on
+  an L2 miss, the demand through
+  :meth:`~repro.cache.hierarchy.MemoryHierarchy.llc_demand` — the same
+  methods the reference path calls, at the same cycle and in the same
+  order (a prefetch's pending-fill note can clear the table before the
+  demand checks it).  Runs of trivial L1 hits (non-dependent, no
+  LLC-bound operation, no in-flight fill for their blocks, empty MSHR
+  file) are found by :meth:`VectorKernel.run_end` and advance the core
+  clock via ``np.add.accumulate`` (:meth:`VectorKernel.fast_forward`),
+  which reproduces the scalar loop's float adds bit-for-bit because
+  ufunc accumulation is defined as strictly sequential.
 
 Backend selection: ``SystemConfig.sim_kernel`` (``"auto"`` default),
 overridable by the ``REPRO_SIM_KERNEL`` environment variable.  The
@@ -49,8 +63,9 @@ excluded from config fingerprints and safe to flip per process.
 Behavioral contract: the vector path maintains every counter exported
 through ``SimulationResult`` (per-core ``CoreStats``, LLC/mesh/DRAM/
 fabric stats, snapshots).  The private ``Cache.stats`` objects of lean-
-modeled L1/L2 levels are *not* maintained — they are internal and never
-exported; configs that publish them (telemetry) fall back.
+modeled L1/L2 levels and the hierarchy's ``Prefetcher.stats`` are *not*
+maintained — they are internal and never exported; configs that
+publish them (telemetry) fall back.
 """
 
 from __future__ import annotations
@@ -62,6 +77,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.block import DEMAND, AccessContext
+from repro.prefetch.registry import make_prefetcher
 from repro.replacement.rrip import RRPV_LONG, RRPV_MAX
 
 if TYPE_CHECKING:
@@ -96,13 +112,10 @@ def kernel_fallback_reasons(config: "SystemConfig",
 
     Each entry names one config feature that couples private-level
     content to timing or to state the lean filter does not maintain.
+    The prefetcher is not one: prefetch fills into L1/L2 depend on
+    L1/L2 contents and the access order only, which Phase A replays.
     """
     reasons = []
-    if config.prefetcher != "none":
-        reasons.append(
-            f"prefetcher={config.prefetcher!r}: prefetch fills write into "
-            f"the private caches based on timing (vector path requires "
-            f"'none')")
     if config.model_tlb:
         reasons.append(
             "model_tlb=True: per-access translation latency feeds back "
@@ -162,6 +175,10 @@ class _LeanPrivateState:
     everyone by one and rescan") ages every way by exactly
     ``RRPV_MAX - max(rrpv)`` and picks the first way that reaches
     ``RRPV_MAX`` — replicated in closed form.
+
+    Fills follow ``Cache.fill``: filling a resident block only marks it
+    dirty for a dirty fill and leaves its recency and RRPV alone.  Each
+    fill returns the blocks whose dirty evictions reach the LLC.
     """
 
     __slots__ = ("l1_mask", "l1_ways", "l1", "l2_mask", "l2_ways",
@@ -184,10 +201,15 @@ class _LeanPrivateState:
                          for _ in range(config.l2.sets)]
 
     # -- L2 ------------------------------------------------------------
-    def l2_install(self, block: int, dirty: bool) -> Tuple[int, ...]:
-        """Install *block*; returns LLC-writeback blocks (0 or 1)."""
+    def l2_fill(self, block: int, dirty: bool) -> Tuple[int, ...]:
+        """Reference ``l2.fill``; returns LLC-writeback blocks (0 or 1)."""
         set_idx = block & self.l2_mask
         mapping = self.l2_map[set_idx]
+        way = mapping.get(block)
+        if way is not None:
+            if dirty:
+                self.l2_dirty[set_idx][way] = True
+            return ()
         blocks_row = self.l2_blocks[set_idx]
         rrpv_row = self.l2_rrpv[set_idx]
         dirty_row = self.l2_dirty[set_idx]
@@ -221,12 +243,16 @@ class _LeanPrivateState:
             self.l2_rrpv[set_idx][way] = 0
             self.l2_dirty[set_idx][way] = True
             return ()
-        return self.l2_install(block, True)
+        return self.l2_fill(block, True)
 
     # -- L1 ------------------------------------------------------------
     def l1_fill(self, block: int, dirty: bool) -> Tuple[int, ...]:
         """Reference ``_fill_l1``: returns LLC-writeback blocks."""
         line_map = self.l1[block & self.l1_mask]
+        if block in line_map:
+            if dirty:
+                line_map[block] = True
+            return ()
         events: Tuple[int, ...] = ()
         if len(line_map) >= self.l1_ways:
             victim, victim_dirty = line_map.popitem(last=False)
@@ -236,6 +262,127 @@ class _LeanPrivateState:
         return events
 
 
+#: Kinds of the LLC-bound operations Phase A records for an access:
+#: a prefetch request that missed both private levels, the writeback
+#: of a dirty line a prefetch fill evicted (both before the demand),
+#: and the writeback of a dirty line the demand's own fills evicted.
+OP_PREFETCH, OP_PREFETCH_WRITEBACK, OP_DEMAND_WRITEBACK = 0, 1, 2
+
+
+class _Classification:
+    """Phase A's product for one trace under one private-level setup.
+
+    A pure function of the trace, the L1/L2 geometry and the prefetcher
+    pair (:func:`_classification_key`), so it is cached on the
+    :class:`~repro.traces.trace.Trace` and shared, read-only, by every
+    run of that trace.  Only compact NumPy arrays, so a sweep that keeps
+    its traces alive holds about six bytes per access plus nine per
+    recorded operation:
+
+    * ``klass[i]``: access *i*'s demand class (0 L1 hit, 1 L2 hit, 2 L2
+      miss).
+    * ``op_block``/``op_kind``: every access's LLC-bound operations in
+      reference call order (``OP_*`` kinds); access *i*'s are the slice
+      ``op_start[i]:op_start[i + 1]``.
+    * ``vec_ok``: the trivial L1 hits :meth:`VectorKernel.fast_forward`
+      may take (non-dependent, no LLC-bound operation).
+    """
+
+    __slots__ = ("klass", "op_start", "op_block", "op_kind", "vec_ok")
+
+
+def _classification_key(config: "SystemConfig") -> tuple:
+    """Every config field :func:`_classify` reads."""
+    return ("vector_kernel.private_levels", config.l1.sets, config.l1.ways,
+            config.l2.sets, config.l2.ways, config.prefetcher)
+
+
+def _classify(trace, config: "SystemConfig") -> _Classification:
+    """Walk *trace* through a fresh lean replica of the private levels
+    and a fresh instance of the config's prefetcher pair, recording
+    what ``demand_access`` would send to the LLC (see
+    :class:`_Classification`)."""
+    arrays = trace.as_arrays()
+    n = len(arrays)
+    # The per-set OrderedDicts/lists are per-instance state with
+    # insertion-ordered, deterministic iteration.
+    state = _LeanPrivateState(config)
+    l1_pf, l2_pf = make_prefetcher(config.prefetcher)
+    l1_observe = l1_pf.observe
+    l2_observe = l2_pf.observe
+    klass = [0] * n
+    op_start = [0]
+    op_block: List[int] = []
+    op_kind: List[int] = []
+    add_block = op_block.append
+    add_kind = op_kind.append
+    l1 = state.l1
+    l1_mask = state.l1_mask
+    l2_map = state.l2_map
+    l2_mask = state.l2_mask
+    l1_fill = state.l1_fill
+    l2_fill = state.l2_fill
+    for i, (pc, block, is_write) in enumerate(zip(
+            arrays.pc.tolist(), arrays.block.tolist(),
+            arrays.is_write.tolist())):
+        line_map = l1[block & l1_mask]
+        l1_hit = block in line_map
+        if l1_hit:
+            # L1 hit: refresh recency; writes set (never clear) dirty.
+            line_map.move_to_end(block)
+            if is_write:
+                line_map[block] = True
+        for candidate in l1_observe(pc, block, l1_hit):
+            # Reference _issue_prefetch(..., "l1").
+            if candidate in l1[candidate & l1_mask]:
+                continue
+            evicted: Tuple[int, ...] = ()
+            if candidate not in l2_map[candidate & l2_mask]:
+                add_block(candidate)
+                add_kind(OP_PREFETCH)
+                evicted = l2_fill(candidate, False)
+            for wb_block in evicted + l1_fill(candidate, False):
+                add_block(wb_block)
+                add_kind(OP_PREFETCH_WRITEBACK)
+        if not l1_hit:
+            set_idx = block & l2_mask
+            way = l2_map[set_idx].get(block)
+            if way is not None:
+                state.l2_rrpv[set_idx][way] = 0
+                if is_write:
+                    state.l2_dirty[set_idx][way] = True
+            for candidate in l2_observe(pc, block, way is not None):
+                # Reference _issue_prefetch(..., "l2").
+                if candidate not in l2_map[candidate & l2_mask]:
+                    add_block(candidate)
+                    add_kind(OP_PREFETCH)
+                    for wb_block in l2_fill(candidate, False):
+                        add_block(wb_block)
+                        add_kind(OP_PREFETCH_WRITEBACK)
+            if way is not None:
+                klass[i] = 1
+                evicted = l1_fill(block, is_write)
+            else:
+                klass[i] = 2
+                # Reference order: fill L2 first, then L1 (each may
+                # chain a dirty eviction down to the LLC).
+                evicted = l2_fill(block, is_write)
+                evicted += l1_fill(block, is_write)
+            for wb_block in evicted:
+                add_block(wb_block)
+                add_kind(OP_DEMAND_WRITEBACK)
+        op_start.append(len(op_block))
+    product = _Classification()
+    product.klass = klass = np.array(klass, dtype=np.uint8)
+    product.op_start = np.array(op_start, dtype=np.int32)
+    product.op_block = np.array(op_block, dtype=np.int64)
+    product.op_kind = np.array(op_kind, dtype=np.uint8)
+    has_ops = product.op_start[1:] != product.op_start[:-1]
+    product.vec_ok = ((klass == 0) & ~has_ops & ~arrays.dependent
+                      & (arrays.instr_gap >= 0))
+    return product
+
+
 # ----------------------------------------------------------------------
 # The vector backend
 # ----------------------------------------------------------------------
@@ -243,8 +390,8 @@ class VectorKernel:
     """One simulation run through the vectorized backend.
 
     Instantiate fresh per :meth:`Simulator.run` call; holds per-run
-    classification state.  All NumPy state lives on the instance — no
-    module-level arrays or RNG.
+    state.  All NumPy state lives on the instance or on the traces'
+    cached classifications — no module-level arrays or RNG.
     """
 
     def __init__(self, sim: "Simulator"):
@@ -261,24 +408,27 @@ class VectorKernel:
         self._l1_hit_threshold = config.l1.latency + 1
         self._issue_width = config.core.issue_width
         self._inv_width = 1.0 / config.core.issue_width
-        # Per-core classification products (filled by _classify_core).
-        # Columns read on *every* access of the Phase-A loop are
-        # converted to Python lists (scalar list indexing is far cheaper
-        # than ndarray item access); columns only touched in the scalar
-        # residue stay NumPy and are unboxed at the point of use.
-        self._klass: List[np.ndarray] = []
-        self._events: List[Dict[int, Tuple[int, ...]]] = []
-        self._vec_ok: List[np.ndarray] = []
+        # Per-core classifications and per-run views (filled by
+        # prepare()).  step() reads its per-access columns through
+        # memoryviews of the NumPy arrays: item access yields a Python
+        # scalar at close to list-indexing cost, with no per-run copy
+        # (a list of a long trace's PCs or gaps costs tens of bytes per
+        # access).
+        self._products: List[_Classification] = []
+        self._klass: List[memoryview] = []
+        self._op_start: List[memoryview] = []
+        self._op_block: List[memoryview] = []
+        self._op_kind: List[memoryview] = []
         self._not_ok_positions: List[list] = []
         self._blocks: List[list] = []
-        self._pcs: List[np.ndarray] = []
         self._writes: List[list] = []
-        self._gaps: List[np.ndarray] = []
-        self._deps: List[np.ndarray] = []
+        self._pcs: List[memoryview] = []
+        self._gaps: List[memoryview] = []
+        self._deps: List[memoryview] = []
+        self._homes: List[memoryview] = []
         self._gap_over_width: List[np.ndarray] = []
         self._gap_cumsum: List[np.ndarray] = []
         self._instr_after: List[np.ndarray] = []
-        self._homes: List[np.ndarray] = []
         self._not_ok_ptr = [0] * len(sim.traces)
 
     # ------------------------------------------------------------------
@@ -297,21 +447,39 @@ class VectorKernel:
         return True
 
     # ------------------------------------------------------------------
-    # Phase A
+    # What the driver loop calls: prepare() runs Phase A, step() Phase B
     # ------------------------------------------------------------------
+    def prepare(self) -> None:
+        """Phase A for every core, before the driver loop starts."""
+        for core_id in range(len(self.sim.traces)):
+            self._classify_core(core_id)
+
     def _classify_core(self, core_id: int) -> None:
+        """Take core *core_id*'s classification from its trace's cache
+        (running :func:`_classify` on a miss) and the per-run views."""
+        config = self.config
         trace = self.sim.traces[core_id]
+        product = trace.derived(_classification_key(config),
+                                lambda: _classify(trace, config))
         arrays = trace.as_arrays()
-        blocks = arrays.block.tolist()
-        writes = arrays.is_write.tolist()
-        self._blocks.append(blocks)
-        self._pcs.append(arrays.pc)
-        self._writes.append(writes)
-        self._gaps.append(arrays.instr_gap)
-        self._deps.append(arrays.dependent)
+        n = len(arrays)
+        self._products.append(product)
+        self._klass.append(memoryview(product.klass))
+        self._op_start.append(memoryview(product.op_start))
+        self._op_block.append(memoryview(product.op_block))
+        self._op_kind.append(memoryview(product.op_kind))
+        self._not_ok_positions.append(
+            np.flatnonzero(~product.vec_ok).tolist())
+        self._blocks.append(arrays.block.tolist())
+        self._writes.append(arrays.is_write.tolist())
+        self._pcs.append(memoryview(arrays.pc))
+        self._gaps.append(memoryview(arrays.instr_gap))
+        self._deps.append(memoryview(arrays.dependent))
+        self._homes.append(memoryview(trace.home_slices(
+            config.hash_scheme, config.num_cores)))
         self._gap_over_width.append(
             arrays.instr_gap / float(self._issue_width))
-        cumsum = np.zeros(len(blocks) + 1, dtype=np.int64)
+        cumsum = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(arrays.instr_gap, out=cumsum[1:])
         self._gap_cumsum.append(cumsum)
         # Post-issue instruction count of access e relative to a zero
@@ -319,59 +487,7 @@ class VectorKernel:
         # vector-eligible run (gaps >= 0 there), which is all the ROB
         # bound search below needs.
         self._instr_after.append(
-            cumsum[1:] + np.arange(1, len(blocks) + 1, dtype=np.int64))
-        self._homes.append(
-            trace.home_slices(self.config.hash_scheme,
-                              self.config.num_cores))
-
-        # The per-set OrderedDicts/lists are per-instance state with
-        # insertion-ordered, deterministic iteration.
-        state = _LeanPrivateState(self.config)
-        n = len(blocks)
-        klass = np.zeros(n, dtype=np.uint8)
-        events: Dict[int, Tuple[int, ...]] = {}
-        l1 = state.l1
-        l1_mask = state.l1_mask
-        l2_map = state.l2_map
-        l2_mask = state.l2_mask
-        for i, (block, is_write) in enumerate(zip(blocks, writes)):
-            line_map = l1[block & l1_mask]
-            if block in line_map:
-                # L1 hit: refresh recency; writes set (never clear) dirty.
-                line_map.move_to_end(block)
-                if is_write:
-                    line_map[block] = True
-                continue
-            set_idx = block & l2_mask
-            way = l2_map[set_idx].get(block)
-            if way is not None:
-                klass[i] = 1
-                state.l2_rrpv[set_idx][way] = 0
-                if is_write:
-                    state.l2_dirty[set_idx][way] = True
-                evts = state.l1_fill(block, is_write)
-            else:
-                klass[i] = 2
-                # Reference order: fill L2 first, then L1 (each may
-                # chain a dirty eviction down to the LLC).
-                evts = state.l2_install(block, is_write)
-                evts += state.l1_fill(block, is_write)
-            if evts:
-                events[i] = evts
-        self._klass.append(klass)
-        self._events.append(events)
-        arrays_dep = arrays.dependent
-        vec_ok = (klass == 0) & ~arrays_dep & (arrays.instr_gap >= 0)
-        self._vec_ok.append(vec_ok)
-        self._not_ok_positions.append(np.flatnonzero(~vec_ok).tolist())
-
-    # ------------------------------------------------------------------
-    # Phase B: what the simulator's driver loop calls
-    # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Run Phase A for every core, before the driver loop starts."""
-        for core_id in range(len(self.sim.traces)):
-            self._classify_core(core_id)
+            cumsum[1:] + np.arange(1, n + 1, dtype=np.int64))
 
     def run_end(self, core, core_id: int, pos: int, limit: int) -> int:
         """End (exclusive, at most *limit*) of the run of trivial L1 hits
@@ -381,7 +497,7 @@ class VectorKernel:
         The driver calls it with monotone *pos* per core, so a per-core
         pointer into ``_not_ok_positions`` finds the next breaker.
         """
-        if not self._vec_ok[core_id][pos]:
+        if not self._products[core_id].vec_ok[pos]:
             return pos
         not_ok = self._not_ok_positions[core_id]
         num_not_ok = len(not_ok)
@@ -464,32 +580,50 @@ class VectorKernel:
 
     def step(self, core, core_id: int, pos: int) -> None:
         """One access in the reference operation order on the real
-        objects.  A private hit only waits for a fill still in flight
-        and replays the dirty evictions Phase A recorded (an L1 hit has
-        none); an L2 miss takes :meth:`MemoryHierarchy.llc_demand`."""
+        objects: the prefetch operations Phase A recorded (LLC requests
+        through :meth:`MemoryHierarchy.llc_prefetch`, writebacks of the
+        lines their fills evicted), then the demand — a private hit only
+        waits for a fill still in flight, an L2 miss takes
+        :meth:`MemoryHierarchy.llc_demand` — then the writebacks of the
+        demand's own fills."""
         hier = self.hierarchy
         klass = self._klass[core_id][pos]
         block = self._blocks[core_id][pos]
-        core.advance(int(self._gaps[core_id][pos]))
+        core.advance(self._gaps[core_id][pos])
         cycle = int(core.cycle)
+        op_start = self._op_start[core_id]
+        start = op_start[pos]
+        end = op_start[pos + 1]
+        after = None
+        if start != end:
+            op_blocks = self._op_block[core_id][start:end].tolist()
+            pc = self._pcs[core_id][pos]
+            for j, kind in enumerate(
+                    self._op_kind[core_id][start:end].tolist()):
+                if kind == OP_DEMAND_WRITEBACK:
+                    after = op_blocks[j:]
+                    break
+                if kind == OP_PREFETCH:
+                    hier.llc_prefetch(core_id, pc, op_blocks[j], cycle)
+                else:
+                    hier._writeback_to_llc(core_id, op_blocks[j], cycle)
         if klass == 2:
-            ctx = AccessContext(pc=int(self._pcs[core_id][pos]),
+            ctx = AccessContext(pc=self._pcs[core_id][pos],
                                 block=block, core_id=core_id,
                                 is_write=self._writes[core_id][pos],
                                 kind=DEMAND, cycle=cycle)
             latency = hier.llc_demand(core_id, ctx,
-                                      int(self._homes[core_id][pos]),
+                                      self._homes[core_id][pos],
                                       cycle, self._l1_l2_latency)
         else:
             latency = self._l1_l2_latency if klass else self._l1_latency
             if block in hier._pending_fill:
                 latency += hier._pending_wait(block, cycle + latency)
-        events = self._events[core_id].get(pos)
-        if events:
-            for wb_block in events:
+        if after:
+            for wb_block in after:
                 hier._writeback_to_llc(core_id, wb_block, cycle)
         core.issue_memory(latency,
-                          dependent=bool(self._deps[core_id][pos]),
+                          dependent=self._deps[core_id][pos],
                           is_miss=latency > self._l1_hit_threshold)
 
     def finalize_counters(self, window_start: List[int]) -> None:
@@ -497,7 +631,7 @@ class VectorKernel:
         *window_start* position on into the measured-window
         ``CoreStats`` (LLC counters were maintained live)."""
         for core_id, start in enumerate(window_start):
-            window = self._klass[core_id][start:]
+            window = self._products[core_id].klass[start:]
             stats = self.hierarchy.core_stats[core_id]
             l2_accesses = int(np.count_nonzero(window))
             l2_misses = int(np.count_nonzero(window == 2))

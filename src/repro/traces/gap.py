@@ -19,12 +19,12 @@ Two layers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.traces.synthetic import PCClassSpec, WorkloadSpec, build_trace
-from repro.traces.trace import BLOCK_SHIFT, MemoryAccess, Trace
+from repro.traces.trace import MemoryAccess, Trace
 
 # ---------------------------------------------------------------------------
 # Parametric models

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.traces.trace import BLOCK_SHIFT, MemoryAccess, Trace
+from repro.traces.trace import MemoryAccess, Trace
 
 PathLike = Union[str, pathlib.Path]
 

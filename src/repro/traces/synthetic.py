@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
@@ -38,7 +38,7 @@ import numpy as np
 from repro.cache.slice_hash import SliceHash
 from repro.core.signature import stable_hash
 from repro.traces.patterns import (AccessPattern, create_pattern,
-                                   pattern_class, pattern_names)
+                                   pattern_class)
 from repro.traces.trace import BLOCK_SHIFT, MemoryAccess, Trace
 
 #: The original closed pattern enum, kept as a back-compat alias; the
@@ -374,22 +374,37 @@ class SyntheticWorkload:
         # Drawing it in chunks keeps every temporary chunk-sized; a chunked
         # ``integers`` draw yields the same values and leaves the generator
         # in the same state as one draw of the full count.
+        # Each chunk is drawn as uint32 (the same values and generator
+        # state as a uint64 draw below 2**32) and widened to uint64 only
+        # after the band test.  The band test is one unsigned compare,
+        # ``(set - lo) mod 2**32 < hi - lo``, into buffers reused across
+        # chunks.
         survivors: List[np.ndarray] = []
+        if skew_band is not None:
+            width = hi - lo
+            set_buf = np.empty(min(self.DRAW_CHUNK, needed), dtype=np.uint32)
+            mask_buf = np.empty(len(set_buf), dtype=np.bool_)
         for start in range(0, needed, self.DRAW_CHUNK):
+            count = min(self.DRAW_CHUNK, needed - start)
             chunk = self._rng.integers(
-                0, self.REGION_ALIGN_BLOCKS // 2,
-                size=min(self.DRAW_CHUNK, needed - start), dtype=np.uint64)
+                0, self.REGION_ALIGN_BLOCKS // 2, size=count,
+                dtype=np.uint32)
             # Band test, then ``base``, then the slice hash, each on the
             # survivors of the step before.  ``base`` is a multiple of
             # REGION_ALIGN_BLOCKS, which the (power-of-two) set count
             # divides, so adding it does not change a set index.
             if skew_band is not None:
-                set_idx = chunk & (self.num_sets - 1)
-                chunk = chunk[(set_idx >= lo) & (set_idx < hi)]
-            chunk += base
+                sets = set_buf[:count]
+                in_band = mask_buf[:count]
+                np.bitwise_and(chunk, self.num_sets - 1, out=sets)
+                np.subtract(sets, lo, out=sets)
+                np.less(sets, width, out=in_band)
+                chunk = chunk[np.flatnonzero(in_band)]
+            wide = chunk.astype(np.uint64)
+            wide += base
             if home_slice is not None:
-                chunk = chunk[self.hash.slices_of(chunk) == home_slice]
-            survivors.append(chunk)
+                wide = wide[self.hash.slices_of(wide) == home_slice]
+            survivors.append(wide)
         pool = np.unique(np.concatenate(survivors))
         if len(pool) < size:
             # Extremely constrained pool: tile what we have.

@@ -10,7 +10,8 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence)
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class Trace:
         self._accesses: List[MemoryAccess] = list(accesses)
         self._stats: Optional[TraceStats] = None
         self._arrays: Optional[TraceArrays] = None
-        self._home_slices: Dict[Tuple[str, int], np.ndarray] = {}
+        self._derived: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         return len(self._accesses)
@@ -167,14 +168,26 @@ class Trace:
         slices_of`, which is pinned equal to the scalar ``slice_of`` used
         by the reference path.
         """
-        key = (hash_scheme, num_slices)
-        cached = self._home_slices.get(key)
-        if cached is None:
+        def build() -> np.ndarray:
             from repro.cache.slice_hash import SliceHash
             hasher = SliceHash(num_slices, scheme=hash_scheme)
-            cached = hasher.slices_of(self.as_arrays().block)
-            self._home_slices[key] = cached
-        return cached
+            return hasher.slices_of(self.as_arrays().block)
+        return self.derived(("home_slices", hash_scheme, num_slices), build)
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per *key* and cached on the trace.
+
+        For values that are a pure function of the trace and of
+        whatever *key* names (home slices per hash geometry, the vector
+        kernel's private-level classification per private-cache
+        geometry and prefetcher).  Traces are immutable, so a cached
+        value never goes stale; callers must not mutate it.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def _compute_stats(self) -> TraceStats:
         pcs = set()

@@ -11,44 +11,70 @@ from repro.bench import (BENCH_SCHEMA_VERSION, REGRESSION_TOLERANCE,
                          check_against_baseline, merge_mode_payload)
 
 
-def baseline(speedup=8.0, sweep_speedup=1.5):
+def baseline(vector_norm=8.0, reference_norm=1.0, sweep_norm=1.5):
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "modes": {
             "smoke": {
-                "unit": {"hot_loop": {"speedup": speedup,
+                "calibration": {"loops_per_s": 1.0e7},
+                "unit": {"hot_loop": {"reference_norm": reference_norm,
+                                      "vector_norm": vector_norm,
                                       "vector_acc_per_s": 2.0e6}},
-                "sweep": {"speedup": sweep_speedup,
+                "sweep": {"reference_norm": sweep_norm,
+                          "vector_norm": sweep_norm,
                           "vector_cells_per_s": 1.6},
             },
         },
     }
 
 
+def unit_row(vector=8.0, reference=1.0, **extra):
+    return {"hot_loop": {"vector_norm": vector, "reference_norm": reference,
+                         **extra}}
+
+
 class TestCheckAgainstBaseline:
     def test_within_tolerance_passes(self):
-        fresh = {"hot_loop": {"speedup": 8.0 * REGRESSION_TOLERANCE
-                              + 0.01}}
+        fresh = unit_row(vector=8.0 * REGRESSION_TOLERANCE + 0.01,
+                         reference=REGRESSION_TOLERANCE + 0.01)
         assert check_against_baseline(baseline(), "smoke", fresh,
                                       None) == []
 
-    def test_speedup_regression_reported(self):
-        fresh = {"hot_loop": {"speedup": 8.0 * REGRESSION_TOLERANCE
-                              - 0.01}}
+    def test_vector_regression_reported(self):
+        fresh = unit_row(vector=8.0 * REGRESSION_TOLERANCE - 0.01)
         problems = check_against_baseline(baseline(), "smoke", fresh,
                                           None)
         assert len(problems) == 1
-        assert "hot_loop" in problems[0]
+        assert "hot_loop" in problems[0] and "vector" in problems[0]
+
+    def test_reference_regression_reported(self):
+        """A slower reference kernel fails too, even though it raises
+        the vector/reference ratio."""
+        fresh = unit_row(reference=REGRESSION_TOLERANCE - 0.01)
+        problems = check_against_baseline(baseline(), "smoke", fresh,
+                                          None)
+        assert len(problems) == 1
+        assert "reference" in problems[0]
+
+    def test_equal_slowdown_of_both_kernels_reported(self):
+        """The old ratio gate let this pass: both kernels 30 % slower."""
+        slow = 1 / 1.3
+        fresh = unit_row(vector=8.0 * slow, reference=slow)
+        problems = check_against_baseline(baseline(), "smoke", fresh,
+                                          None)
+        assert len(problems) == 2
 
     def test_gate_is_ratio_not_absolute_throughput(self):
-        """A slower machine (lower acc/s, same speedup) must pass."""
-        fresh = {"hot_loop": {"speedup": 8.0,
-                              "vector_acc_per_s": 1.0}}
+        """A slower machine (lower acc/s, and a calibration loop slowed
+        in proportion, so the same normalised figures) must pass: the
+        gate reads throughput as a ratio to the calibration rate."""
+        fresh = unit_row(vector_acc_per_s=1.0)
         assert check_against_baseline(baseline(), "smoke", fresh,
                                       None) == []
 
     def test_sweep_regression_reported(self):
-        fresh_sweep = {"speedup": 1.5 * REGRESSION_TOLERANCE - 0.01}
+        fresh_sweep = {"reference_norm": 1.5,
+                       "vector_norm": 1.5 * REGRESSION_TOLERANCE - 0.01}
         problems = check_against_baseline(baseline(), "smoke", {},
                                           fresh_sweep)
         assert len(problems) == 1
@@ -56,14 +82,38 @@ class TestCheckAgainstBaseline:
 
     def test_first_recording_is_never_a_regression(self):
         empty = {"schema_version": BENCH_SCHEMA_VERSION, "modes": {}}
-        fresh = {"hot_loop": {"speedup": 0.1}}
-        assert check_against_baseline(empty, "smoke", fresh,
-                                      {"speedup": 0.1}) == []
+        fresh = unit_row(vector=0.1, reference=0.1)
+        assert check_against_baseline(
+            empty, "smoke", fresh,
+            {"reference_norm": 0.1, "vector_norm": 0.1}) == []
+
+    def test_missing_record_is_skipped(self):
+        """A mode recorded in one artefact but not the other."""
+        partial = {"modes": {"smoke": {"unit": None, "sweep": None}}}
+        assert check_against_baseline(
+            partial, "smoke", unit_row(vector=0.1, reference=0.1),
+            {"reference_norm": 0.1, "vector_norm": 0.1}) == []
 
     def test_other_mode_baseline_is_ignored(self):
-        fresh = {"hot_loop": {"speedup": 0.1}}
+        fresh = unit_row(vector=0.1, reference=0.1)
         assert check_against_baseline(baseline(), "full", fresh,
                                       None) == []
+
+    def test_rows_are_combined_by_geometric_mean(self):
+        """One noisy row does not trip the gate on its own; a large
+        drop of one row does."""
+        noisy = unit_row(vector=8.0 * 0.8)
+        sweep = {"reference_norm": 1.5, "vector_norm": 1.5}
+        assert check_against_baseline(baseline(), "smoke", noisy,
+                                      sweep) == []
+        collapsed = unit_row(vector=8.0 * 0.5)
+        problems = check_against_baseline(baseline(), "smoke", collapsed,
+                                          sweep)
+        assert len(problems) == 1
+        assert "unit/hot_loop 0.50x" in problems[0]
+
+    def test_tolerance_fails_a_thirty_percent_slowdown(self):
+        assert 1 / 1.3 < REGRESSION_TOLERANCE < 1.0
 
 
 class TestMergeModePayload:

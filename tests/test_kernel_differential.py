@@ -7,7 +7,8 @@ on ineligible configurations it must fall back (with reasons) rather
 than approximate.  The hypothesis suite here drives randomized
 configuration × trace combinations through both backends and compares
 the full export with ``==`` (floats included: the kernel replicates the
-reference op order, not just its math).
+reference op order, not just its math), over every prefetcher pair the
+registry offers.
 """
 
 import dataclasses
@@ -18,7 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import ScaleProfile, SystemConfig
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.prefetch.registry import PREFETCHER_REGISTRY
+from repro.sim import kernel as kernel_module
+from repro.sim.config import CacheConfig, ScaleProfile, SystemConfig
 from repro.sim.kernel import (KERNEL_CHOICES, MIN_VECTOR_RUN,
                               VectorKernel, kernel_fallback_reasons,
                               resolve_kernel)
@@ -86,17 +90,19 @@ def assert_backends_agree(config, traces, warmup=None,
 # ---------------------------------------------------------------------------
 
 class TestDifferential:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=14, deadline=None)
     @given(
         policy=st.sampled_from(["lru", "srrip", "ship"]),
         cores=st.integers(min_value=1, max_value=3),
         workload=st.sampled_from(["mcf", "xalancbmk", "omnetpp",
                                   "google_search"]),
         accesses=st.integers(min_value=200, max_value=1200),
+        prefetcher=st.sampled_from(sorted(PREFETCHER_REGISTRY)),
     )
     def test_random_config_bit_identical(self, policy, cores, workload,
-                                         accesses):
+                                         accesses, prefetcher):
         cfg = smoke_config(cores, policy)
+        cfg.prefetcher = prefetcher
         traces = make_mix(homogeneous_mix(workload, cores), cfg,
                           accesses, seed=5)
         assert_backends_agree(cfg, traces)
@@ -151,13 +157,14 @@ class TestDifferential:
         assert_backends_agree(cfg, traces)
 
     @pytest.mark.parametrize("overrides", [
-        {"prefetcher": "baseline"},
+        {"prefetcher": "baseline", "llc_inclusive": True},
         {"model_tlb": True},
         {"llc_inclusive": True},
     ])
     def test_fallback_configs_still_agree(self, overrides):
         """Ineligible configs: both requests run the reference path and
-        trivially agree; the point is the fallback is silent-correct."""
+        trivially agree; the point is the fallback is silent-correct.
+        A prefetcher does not make an ineligible config eligible."""
         cfg = smoke_config(2, "lru")
         for key, value in overrides.items():
             setattr(cfg, key, value)
@@ -167,6 +174,191 @@ class TestDifferential:
         assert vec_sim.kernel_used == "reference"
         assert vec_sim.kernel_fallback_reasons
         assert ref == vec
+
+
+# ---------------------------------------------------------------------------
+# Prefetch operations on the vector kernel
+# ---------------------------------------------------------------------------
+
+def tiny_private_config():
+    """Baseline prefetchers with a two-line L1 and a four-line L2, so
+    prefetch fills evict often."""
+    cfg = smoke_config(1, "lru")
+    cfg.prefetcher = "baseline"
+    cfg.l1 = CacheConfig(sets=1, ways=2, latency=5)
+    cfg.l2 = CacheConfig(sets=2, ways=2, latency=15)
+    return cfg
+
+
+def churn_trace(n=400, seed=4):
+    """Half a forward walk from one PC (arms the IP-stride prefetcher),
+    half random blocks and writes from two others, over 16 blocks."""
+    rng = np.random.default_rng(seed)
+    walk = rng.random(n) < 0.5
+    blocks = np.where(walk, np.arange(n) // 2 % 16, rng.integers(0, 12, n))
+    pcs = np.where(walk, 0, 1 + rng.integers(0, 2, n))
+    writes = rng.random(n) < 0.5
+    return Trace("churn", [
+        MemoryAccess(pc=0x400 + 4 * int(pc), address=int(block) * 64,
+                     is_write=bool(write), instr_gap=3)
+        for pc, block, write in zip(pcs, blocks, writes)])
+
+
+def classification(trace, cfg):
+    return trace.derived(kernel_module._classification_key(cfg),
+                         lambda: pytest.fail("trace was never classified"))
+
+
+class TestPrefetchKernel:
+    def test_resident_candidates_and_l2_hit_fill_writeback(
+            self, monkeypatch):
+        """Candidates already in L1 or L2, and an L1 prefetch that hits
+        in L2 and whose L1 fill pushes a dirty line down to the LLC
+        before the demand, all replay bit-identically."""
+        cfg = tiny_private_config()
+        trace = churn_trace()
+        seen = {"l1_in_l1": 0, "l1_in_l2": 0, "l2_in_l2": 0}
+        original = MemoryHierarchy._issue_prefetch
+
+        def spy(hier, core_id, pc, block, level, cycle, prefetcher):
+            if level == "l1" and hier.l1[core_id].contains(block):
+                seen["l1_in_l1"] += 1
+            elif hier.l2[core_id].contains(block):
+                seen[f"{level}_in_l2"] += 1
+            original(hier, core_id, pc, block, level, cycle, prefetcher)
+
+        monkeypatch.setattr(MemoryHierarchy, "_issue_prefetch", spy)
+        ref, _ = run_with_kernel(cfg, [trace], "reference")
+        monkeypatch.setattr(MemoryHierarchy, "_issue_prefetch", original)
+        vec, vec_sim = run_with_kernel(cfg, [trace], "vector")
+        assert vec_sim.kernel_used == "vector"
+        assert all(seen.values()), seen
+        # An access whose first prefetch operation is a writeback: an L1
+        # prefetch served from L2 whose L1 fill evicted a dirty line
+        # that the L2 could not absorb.
+        product = classification(trace, cfg)
+        firsts = product.op_start[:-1][np.diff(product.op_start) > 0]
+        assert (product.op_kind[firsts]
+                == kernel_module.OP_PREFETCH_WRITEBACK).any()
+        assert ref == vec
+
+    def test_prefetch_clears_pending_table_at_cap(self, monkeypatch):
+        """A stream fills the 4096-entry pending-fill table; the note
+        that clears it comes from a prefetch, ahead of the demand's own
+        pending check, on both backends."""
+        cfg = smoke_config(1, "lru")
+        cfg.prefetcher = "baseline"
+        trace = Trace("stream", [MemoryAccess(pc=0x400, address=i * 128,
+                                              instr_gap=2)
+                                 for i in range(3000)])
+        clears = []
+        original = MemoryHierarchy.llc_prefetch
+
+        def spy(hier, core_id, pc, block, cycle):
+            before = len(hier._pending_fill)
+            ctx = original(hier, core_id, pc, block, cycle)
+            if len(hier._pending_fill) < before:
+                clears.append(block)
+            return ctx
+
+        monkeypatch.setattr(MemoryHierarchy, "llc_prefetch", spy)
+        ref, _ = run_with_kernel(cfg, [trace], "reference")
+        ref_clears = list(clears)
+        clears.clear()
+        vec, vec_sim = run_with_kernel(cfg, [trace], "vector")
+        assert vec_sim.kernel_used == "vector"
+        assert ref_clears and clears == ref_clears
+        assert ref == vec
+
+    def test_l1_hit_runs_with_resident_candidates_fast_forward(
+            self, monkeypatch):
+        """Once a loop's next-line candidates all sit in L1 its hits
+        carry no prefetch operations, so they still fast-forward."""
+        cfg = smoke_config(1, "lru")
+        cfg.prefetcher = "baseline"
+        trace = Trace("loop", [MemoryAccess(pc=0x400, address=(i % 4) * 64,
+                                            instr_gap=60)
+                               for i in range(2000)])
+        runs = []
+        original = VectorKernel.fast_forward
+
+        def spy(kernel, core, core_id, pos, end):
+            runs.append(end - pos)
+            original(kernel, core, core_id, pos, end)
+
+        monkeypatch.setattr(VectorKernel, "fast_forward", spy)
+        ref, _ = run_with_kernel(cfg, [trace], "reference")
+        vec, vec_sim = run_with_kernel(cfg, [trace], "vector")
+        assert vec_sim.kernel_used == "vector"
+        assert sum(runs) > 1900
+        assert ref == vec
+
+
+class TestClassificationCache:
+    """Phase A's product is cached on the trace, keyed on every config
+    field it reads."""
+
+    @pytest.fixture
+    def count_classify(self, monkeypatch):
+        calls = []
+        original = kernel_module._classify
+
+        def counting(trace, config):
+            calls.append(trace.name)
+            return original(trace, config)
+
+        monkeypatch.setattr(kernel_module, "_classify", counting)
+        return calls
+
+    def test_second_simulator_reuses_classification(self, count_classify):
+        cfg = SystemConfig.from_profile(2, ScaleProfile.smoke(),
+                                        llc_policy="lru", seed=5)
+        traces = make_mix(homogeneous_mix("mcf", 2), cfg, 800, seed=5)
+        first, _ = run_with_kernel(cfg, traces, "vector")
+        assert len(count_classify) == 2
+        products = [classification(t, cfg) for t in traces]
+        hawkeye = cfg.with_policy("hawkeye")
+        second, sim = run_with_kernel(hawkeye, traces, "vector")
+        assert sim.kernel_used == "vector"
+        assert len(count_classify) == 2  # reused, not re-classified
+        assert [classification(t, cfg) for t in traces] == products
+        ref, _ = run_with_kernel(hawkeye, traces, "reference")
+        assert second == ref
+        again, _ = run_with_kernel(cfg, traces, "vector")
+        assert again == first
+
+    @pytest.mark.parametrize("change", [
+        {"l1": CacheConfig(sets=4, ways=12, latency=5)},
+        {"l1": CacheConfig(sets=8, ways=6, latency=5)},
+        {"l2": CacheConfig(sets=16, ways=8, latency=15)},
+        {"l2": CacheConfig(sets=32, ways=4, latency=15)},
+        {"prefetcher": "none"},
+    ])
+    def test_keyed_field_change_reclassifies(self, count_classify, change):
+        cfg = SystemConfig.from_profile(1, ScaleProfile.smoke(),
+                                        llc_policy="lru", seed=5)
+        traces = make_mix(homogeneous_mix("xalancbmk", 1), cfg, 800,
+                          seed=5)
+        run_with_kernel(cfg, traces, "vector")
+        other = dataclasses.replace(cfg, **change)
+        vec, sim = run_with_kernel(other, traces, "vector")
+        assert sim.kernel_used == "vector"
+        assert len(count_classify) == 2
+        ref, _ = run_with_kernel(other, traces, "reference")
+        assert vec == ref
+
+    def test_latency_change_reuses_classification(self, count_classify):
+        """Private-level latencies are Phase B inputs, not Phase A's."""
+        cfg = SystemConfig.from_profile(1, ScaleProfile.smoke(),
+                                        llc_policy="lru", seed=5)
+        traces = make_mix(homogeneous_mix("xalancbmk", 1), cfg, 800,
+                          seed=5)
+        run_with_kernel(cfg, traces, "vector")
+        other = dataclasses.replace(
+            cfg, l2=CacheConfig(sets=32, ways=8, latency=11))
+        vec, _ = run_with_kernel(other, traces, "vector")
+        assert len(count_classify) == 1
+        assert vec == run_with_kernel(other, traces, "reference")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +375,33 @@ class TestResolveKernel:
         assert kernel == "vector"
         assert reasons == []
 
-    def test_auto_falls_back_with_prefetcher(self):
-        cfg = SystemConfig.from_profile(1, ScaleProfile.smoke())
+    def test_auto_picks_vector_with_prefetcher(self):
+        """The default (baseline) prefetcher pair is vector-eligible and
+        reproduces the reference path's pinned IPC."""
+        cfg = SystemConfig.from_profile(1, ScaleProfile.smoke(),
+                                        llc_policy="lru", seed=9)
         assert cfg.prefetcher == "baseline"
-        kernel, reasons = resolve_kernel(cfg)
-        assert kernel == "reference"
-        assert any("prefetcher" in r for r in reasons)
+        assert resolve_kernel(cfg) == ("vector", [])
+        traces = make_mix(homogeneous_mix("xalancbmk", 1), cfg, 3000,
+                          seed=9)
+        sim = Simulator(cfg, traces)
+        result = sim.run()
+        assert sim.kernel_used == "vector"
+        # The pin of test_simulator_golden.TestSingleCoreGolden.
+        assert result.ipc == [1.483844547278775]
 
     def test_each_ineligible_feature_is_named(self):
         cfg = SystemConfig.from_profile(1, ScaleProfile.smoke(),
                                         model_tlb=True,
                                         llc_inclusive=True)
+        assert cfg.prefetcher == "baseline"
         reasons = kernel_fallback_reasons(cfg, telemetry=object())
         text = " ".join(reasons)
-        assert "prefetcher" in text
+        assert "prefetcher" not in text
         assert "model_tlb" in text
         assert "llc_inclusive" in text
         assert "telemetry" in text
-        assert len(reasons) == 4
+        assert len(reasons) == 3
 
     def test_env_value_overrides_config(self):
         cfg = smoke_config(1, "lru", sim_kernel="vector")

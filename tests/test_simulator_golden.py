@@ -5,10 +5,12 @@ so any refactor of the one driver loop, on one core or many, that
 changes even one float is caught.  Exact ``==`` on purpose: the loop is
 pure deterministic arithmetic and must stay bit-identical.
 
-The vector-kernel classes pin prefetcher-less configs — eligible for
-the batched backend — under **both** backends against one shared set of
-golden values, so the bit-identity contract of
-:mod:`repro.sim.kernel` is golden-anchored, not just differential.
+Every golden is pinned under **both** backends against one shared set
+of values: the default-prefetcher (``"baseline"``) configs run the
+vector kernel under ``sim_kernel="auto"`` and are re-run on the
+reference path, and the prefetcher-less classes are parametrized over
+both, so the bit-identity contract of :mod:`repro.sim.kernel` is
+golden-anchored, not just differential.
 """
 
 import dataclasses
@@ -28,14 +30,25 @@ def _hermetic_kernel_selection(monkeypatch):
 
 
 class TestMultiCoreGolden:
-    def make_result(self):
+    def make_result(self, kernel="auto"):
         cfg = SystemConfig.from_profile(4, ScaleProfile.smoke(),
-                                        llc_policy="hawkeye", seed=5)
+                                        llc_policy="hawkeye", seed=5,
+                                        sim_kernel=kernel)
+        assert cfg.prefetcher == "baseline"
         traces = make_mix(homogeneous_mix("mcf", 4), cfg, 2000, seed=5)
-        return Simulator(cfg, traces).run()
+        sim = Simulator(cfg, traces)
+        result = sim.run()
+        assert sim.kernel_used == ("vector" if kernel == "auto" else kernel)
+        return result
 
     def test_golden_values(self):
-        result = self.make_result()
+        self.check_golden(self.make_result())
+
+    def test_golden_values_reference_kernel(self):
+        self.check_golden(self.make_result("reference"))
+
+    @staticmethod
+    def check_golden(result):
         assert result.ipc == [0.43067090654811013, 0.4059770537086933,
                               0.3827752741839033, 0.40921637289232227]
         assert result.cycles == [85327.33333333462, 85315.16666666801,
@@ -77,19 +90,29 @@ class TestSingleCoreGolden:
                            warmup_accesses=10 ** 9).run()
         assert result.ipc == [1.5029859087936401]
 
-    def test_baseline_prefetcher_forces_reference_kernel(self):
-        """These goldens use prefetcher='baseline': requesting the
-        vector backend must fall back (with a reason) and reproduce
-        the same values through the reference path."""
-        cfg = dataclasses.replace(self.cfg)
-        cfg.llc_policy_params = dict(self.cfg.llc_policy_params)
-        cfg.sim_kernel = "vector"
+    def test_baseline_prefetcher_takes_vector_kernel(self):
+        """These goldens use prefetcher='baseline', which the vector
+        kernel models: it runs with no fallback reason and reproduces
+        the values the reference path pins."""
+        assert self.cfg.prefetcher == "baseline"
+        sim = Simulator(_with_kernel(self.cfg, "vector"), self.traces)
+        result = sim.run()
+        assert sim.kernel_used == "vector"
+        assert sim.kernel_fallback_reasons == []
+        assert result.ipc == [1.483844547278775]
+        assert result.instructions == [84546]
+        assert result.llc_demand_misses == [2400]
+
+    def test_golden_values_reference_kernel(self):
+        cfg = _with_kernel(self.cfg, "reference")
         sim = Simulator(cfg, self.traces)
         result = sim.run()
         assert sim.kernel_used == "reference"
-        assert any("prefetcher" in reason
-                   for reason in sim.kernel_fallback_reasons)
         assert result.ipc == [1.483844547278775]
+        assert result.instructions == [84546]
+        assert result.llc_demand_misses == [2400]
+        result = Simulator(cfg, self.traces, warmup_accesses=0).run()
+        assert result.ipc == [1.5029859087936401]
 
 
 def _with_kernel(cfg: SystemConfig, kernel: str) -> SystemConfig:
