@@ -20,16 +20,20 @@ entry.
 
 Throughputs are best-of-N per CPU-second (``time.process_time``), and
 each is also recorded *normalised*: divided by the median rate of a
-fixed pure-Python calibration loop (:func:`calibrate`) sampled before
-every timed run of the same invocation.  The simulator is interpreted
-Python too, so the normalised figure moves with the code, not with the
-host.
-``--check`` gates the normalised throughput of **each** kernel, as a
-geometric mean over the unit workloads and the sweep, against the
-committed same-mode baseline and fails when it drops more than
-:data:`REGRESSION_TOLERANCE` allows (skipped when no baseline exists).  Gating the vector/reference ratio
-instead would let a change that slows both kernels equally pass, and
-would fail whenever the reference oracle got faster.
+fixed pure-Python calibration loop (:func:`calibrate`) sampled just
+before each of that row's timed runs of that kernel.  The simulator is
+interpreted Python too, so the normalised figure moves with the code,
+not with the host; sampling per row tracks a host whose speed drifts
+during the invocation.
+``--check`` gates the normalised throughput of **each** kernel against
+the committed same-mode baseline (skipped when no baseline exists): the
+geometric mean of its fresh/committed ratios over the unit workloads
+and the sweep must stay at or above :data:`REGRESSION_TOLERANCE`, and
+every single ratio at or above :data:`ROW_TOLERANCE`, so a collapse
+confined to one workload cannot hide in the mean.  Gating the
+vector/reference ratio instead would let a change that slows both
+kernels equally pass, and would fail whenever the reference oracle got
+faster.
 
 Every timed configuration is first asserted bit-identical across the
 two kernels — a benchmark of a wrong kernel is worthless.  Timings are
@@ -68,6 +72,7 @@ __all__ = [
     "KERNEL_BENCH_FILE",
     "SWEEP_BENCH_FILE",
     "REGRESSION_TOLERANCE",
+    "ROW_TOLERANCE",
     "BenchRegression",
     "calibrate",
     "hot_loop_spec",
@@ -92,13 +97,20 @@ SWEEP_BENCH_FILE = "BENCH_sweep.json"
 #: regression), so a 30 % slowdown of either kernel fails the gate.
 REGRESSION_TOLERANCE = 0.85
 
-#: Iterations of the fixed calibration loop (:func:`calibrate`).
-CALIB_LOOPS = 400_000
+#: ... or when any single workload's ratio drops below this one, so a
+#: regression confined to one row (one workload, or the multi-core
+#: sweep) is not averaged away by the others.
+ROW_TOLERANCE = 0.7
+
+#: Iterations of the fixed calibration loop (:func:`calibrate`) and the
+#: entries of the table it reads (a few megabytes of dict and lists).
+CALIB_LOOPS = 200_000
+CALIB_TABLE = 1 << 18
 
 #: accesses per unit workload, per mode.
 _UNIT_ACCESSES = {"smoke": {"hot_loop": 200_000, "mcf": 40_000},
                   "full": {"hot_loop": 500_000, "mcf": 150_000}}
-_UNIT_REPEATS = {"smoke": 5, "full": 5}
+_UNIT_REPEATS = {"smoke": 7, "full": 5}
 _SWEEP_CORES = {"smoke": (4,), "full": (4, 16)}
 
 
@@ -204,11 +216,19 @@ def assert_kernels_equivalent(config: SystemConfig,
 
 def calibrate() -> float:
     """Loops per CPU-second of a fixed pure-Python loop: how fast this
-    host runs interpreted code right now."""
-    acc = 0
+    host runs interpreted code right now.  Like the simulator, the loop
+    looks up dict keys and updates list slots scattered over several
+    megabytes, so it also feels the cache contention of a shared host,
+    which a loop over a few registers does not."""
+    mask = CALIB_TABLE - 1
+    table = {k * 2654435761 % (1 << 40): k for k in range(CALIB_TABLE)}
+    keys = list(table)
+    slots = [0] * CALIB_TABLE
+    x = 12345
     start = time.process_time()
-    for i in range(CALIB_LOOPS):
-        acc = (acc + i * i) % 1_000_003
+    for _ in range(CALIB_LOOPS):
+        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+        slots[table[keys[x & mask]]] += 1
     return CALIB_LOOPS / (time.process_time() - start)
 
 
@@ -219,18 +239,19 @@ def _normalised(per_s: float, loops_per_s: float) -> float:
 
 def time_kernel(config: SystemConfig, traces: Sequence[Trace],
                 kernel: str, repeats: int,
-                calibration: List[float]) -> float:
+                calibration: List[float]) -> Tuple[float, float]:
     """Best-of-*repeats* CPU seconds for one full ``Simulator.run``, each
-    on fresh copies of *traces* (nothing cached on them).  A
-    :func:`calibrate` sample taken just before each run is appended to
-    *calibration*."""
+    on fresh copies of *traces* (nothing cached on them), and the median
+    of the :func:`calibrate` samples taken just before each run (also
+    appended to *calibration*)."""
     best = float("inf")
+    samples: List[float] = []
     for _ in range(repeats):
         cfg = dataclasses.replace(config)
         cfg.llc_policy_params = dict(config.llc_policy_params)
         cfg.sim_kernel = kernel
         sim = Simulator(cfg, [Trace(t.name, t.accesses) for t in traces])
-        calibration.append(calibrate())
+        samples.append(calibrate())
         start = time.process_time()
         sim.run()
         best = min(best, time.process_time() - start)
@@ -238,28 +259,32 @@ def time_kernel(config: SystemConfig, traces: Sequence[Trace],
             raise AssertionError(
                 f"requested kernel {kernel!r} but ran "
                 f"{sim.kernel_used!r}")
-    return best
+    calibration.extend(samples)
+    return best, statistics.median(samples)
 
 
 def unit_throughput(mode: str, calibration: List[float]) -> Dict:
     """Serial accesses per CPU-second of both kernels on the unit
-    workloads (*calibration* as for :func:`time_kernel`)."""
+    workloads, raw and normalised by the calibration samples of the
+    same row and kernel (*calibration* as for :func:`time_kernel`)."""
     repeats = _UNIT_REPEATS[mode]
     out: Dict[str, Dict] = {}
     for workload, accesses in _UNIT_ACCESSES[mode].items():
         config = unit_config()
         traces = _unit_traces(workload, accesses, config)
         assert_kernels_equivalent(config, traces)
-        t_ref = time_kernel(config, traces, "reference", repeats,
-                            calibration)
-        t_vec = time_kernel(config, traces, "vector", repeats,
-                            calibration)
+        t_ref, calib_ref = time_kernel(config, traces, "reference",
+                                       repeats, calibration)
+        t_vec, calib_vec = time_kernel(config, traces, "vector", repeats,
+                                       calibration)
         out[workload] = {
             "accesses": accesses,
             "repeats": repeats,
             "reference_acc_per_s": round(accesses / t_ref, 1),
             "vector_acc_per_s": round(accesses / t_vec, 1),
             "speedup": round(t_ref / t_vec, 3),
+            "reference_norm": _normalised(accesses / t_ref, calib_ref),
+            "vector_norm": _normalised(accesses / t_vec, calib_vec),
         }
     return out
 
@@ -280,8 +305,9 @@ class _SweepPlan:
 
 def sweep_throughput(mode: str, calibration: List[float]) -> Dict:
     """Cells per CPU-second of a small policy × mix sweep under each
-    kernel, best of two alternating runs each (*calibration* as for
-    :func:`time_kernel`).
+    kernel, best of two alternating runs each, raw and normalised by the
+    calibration samples taken before that kernel's runs (*calibration*
+    as for :func:`time_kernel`).
 
     Runs the bench experiment profile's mixes directly through
     :func:`repro.sim.runner.run_mix` — deliberately bypassing the sweep
@@ -318,10 +344,11 @@ def sweep_throughput(mode: str, calibration: List[float]) -> Dict:
 
     cells = plan.cells(profile)
     timings = {"reference": float("inf"), "vector": float("inf")}
+    samples: Dict[str, List[float]] = {"reference": [], "vector": []}
     for _ in range(2):
         fingerprints = {}
         for kernel in ("reference", "vector"):
-            calibration.append(calibrate())
+            samples[kernel].append(calibrate())
             start = time.process_time()
             fingerprints[kernel] = build_cells(kernel)
             timings[kernel] = min(timings[kernel],
@@ -329,6 +356,8 @@ def sweep_throughput(mode: str, calibration: List[float]) -> Dict:
         # Equivalence gate: every cell, both kernels, bit-exactly.
         if fingerprints["reference"] != fingerprints["vector"]:
             raise AssertionError("sweep cells disagree across kernels")
+    for kernel_samples in samples.values():
+        calibration.extend(kernel_samples)
     return {
         "cells": cells,
         "core_counts": list(plan.cores),
@@ -336,6 +365,9 @@ def sweep_throughput(mode: str, calibration: List[float]) -> Dict:
         "reference_cells_per_s": round(cells / timings["reference"], 3),
         "vector_cells_per_s": round(cells / timings["vector"], 3),
         "speedup": round(timings["reference"] / timings["vector"], 3),
+        **{f"{kernel}_norm": _normalised(cells / timings[kernel],
+                                         statistics.median(samples[kernel]))
+           for kernel in timings},
     }
 
 
@@ -394,14 +426,16 @@ def check_against_baseline(baseline: Dict, mode: str,
     committed record.
 
     For each kernel, the ratio of fresh to committed ``<kernel>_norm``
-    (throughput divided by the same run's calibration-loop rate) is
-    taken on every unit workload and on the sweep, and their geometric
-    mean must stay at or above :data:`REGRESSION_TOLERANCE`.  A host
-    that runs everything slower also runs the calibration loop slower,
-    so a slower CI runner passes, while a slowdown of either kernel, or
-    of both, fails.  The mean damps the run-to-run spread of single
-    rows on a shared host.  Empty when the baseline has no same-mode
-    entry (first recording is never a regression).
+    (throughput divided by the same row's calibration-loop rate) is
+    taken on every unit workload and on the sweep.  Their geometric
+    mean must stay at or above :data:`REGRESSION_TOLERANCE`, which
+    damps the run-to-run spread of single rows on a shared host, and
+    each ratio at or above the lower :data:`ROW_TOLERANCE`, which keeps
+    a regression of one row from hiding in the mean.  A host that runs
+    everything slower also runs the calibration loop slower, so a
+    slower CI runner passes, while a slowdown of either kernel, or of
+    both, fails.  Empty when the baseline has no same-mode entry (first
+    recording is never a regression).
     """
     problems: List[str] = []
     base_mode = baseline.get("modes", {}).get(mode)
@@ -426,6 +460,11 @@ def check_against_baseline(baseline: Dict, mode: str,
                 f"{kernel}: normalised throughput {score:.2f}x of the "
                 f"baseline < {REGRESSION_TOLERANCE}x (geometric mean of "
                 f"{detail})")
+        for name, ratio in ratios:
+            if ratio < ROW_TOLERANCE:
+                problems.append(
+                    f"{kernel}: {name} normalised throughput {ratio:.2f}x "
+                    f"of the baseline < {ROW_TOLERANCE}x")
     return problems
 
 
@@ -443,7 +482,8 @@ def run_bench(mode: str, out_dir: Path, check: bool = False,
 
     Raises :class:`BenchRegression` when *check* is set and either
     kernel's fresh normalised throughput is more than 15 % below the
-    committed same-mode baseline (:func:`check_against_baseline`).
+    committed same-mode baseline over all rows, or more than 30 % below
+    it on any one row (:func:`check_against_baseline`).
 
     An ambient ``REPRO_SIM_KERNEL`` is suspended for the duration: the
     harness selects each backend explicitly per timed run, and the env
@@ -464,17 +504,10 @@ def run_bench(mode: str, out_dir: Path, check: bool = False,
     finally:
         if ambient is not None:
             os.environ["REPRO_SIM_KERNEL"] = ambient
-    # The median calibration sample: one sample taken at a moment of
-    # unusually high (or low) clock speed must not move every figure.
+    # Recorded for context only: each row is normalised by its own
+    # samples (unit_throughput, sweep_throughput).
     calib = {"loops": CALIB_LOOPS, "samples": len(calibration),
              "loops_per_s": round(statistics.median(calibration), 1)}
-    rows = [(row, "acc") for row in unit.values()]
-    if sweep is not None:
-        rows.append((sweep, "cells"))
-    for row, work in rows:
-        for kernel in ("reference", "vector"):
-            row[f"{kernel}_norm"] = _normalised(
-                row[f"{kernel}_{work}_per_s"], calib["loops_per_s"])
 
     # One check over both files' rows, so each kernel's geometric mean
     # spans the unit workloads and the sweep.

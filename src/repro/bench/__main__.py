@@ -32,7 +32,8 @@ def main(argv=None) -> int:
                              "normalised by a calibration loop timed in "
                              "the same run, falls >15%% below the "
                              "committed same-mode baseline (geometric "
-                             "mean over the workloads)")
+                             "mean over the workloads) or >30%% on any "
+                             "one workload")
     parser.add_argument("--skip-sweep", action="store_true",
                         help="unit + trace-build only (no sweep timing)")
     parser.add_argument("--out", type=Path, default=Path("."),

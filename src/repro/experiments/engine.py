@@ -726,24 +726,20 @@ class SweepEngine:
         """
         base_cfgs: Dict[int, SystemConfig] = {}
         trace_memo: Dict[Tuple[int, str], Trace] = {}
-        mix_memo: Dict[Tuple[int, str], List[Trace]] = {}
 
         def traces_for(cores: int, mix: MixSpec) -> List[Trace]:
-            memo_key = (cores, mix.name)
-            if memo_key not in mix_memo:
-                traces = []
-                for core_index, workload in enumerate(mix.workloads):
-                    trace_key = (cores, mix_trace_name(
-                        workload, profile.seed, core_index,
-                        spec=mix.resolve(workload)))
-                    if trace_key not in trace_memo:
-                        trace_memo[trace_key] = make_mix_trace(
-                            mix, core_index, base_cfgs[cores],
-                            profile.scale.accesses_per_core,
-                            seed=profile.seed)
-                    traces.append(trace_memo[trace_key])
-                mix_memo[memo_key] = traces
-            return mix_memo[memo_key]
+            traces = []
+            for core_index, workload in enumerate(mix.workloads):
+                trace_key = (cores, mix_trace_name(
+                    workload, profile.seed, core_index,
+                    spec=mix.resolve(workload)))
+                if trace_key not in trace_memo:
+                    trace_memo[trace_key] = make_mix_trace(
+                        mix, core_index, base_cfgs[cores],
+                        profile.scale.accesses_per_core,
+                        seed=profile.seed)
+                traces.append(trace_memo[trace_key])
+            return traces
 
         for cores in sorted({t.cores for t in alone_pending} |
                             {t.cores for t in cell_pending}):

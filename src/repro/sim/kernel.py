@@ -77,6 +77,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.block import DEMAND, AccessContext
+from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.registry import make_prefetcher
 from repro.replacement.rrip import RRPV_LONG, RRPV_MAX
 
@@ -307,13 +308,21 @@ def _classify(trace, config: "SystemConfig") -> _Classification:
     # The per-set OrderedDicts/lists are per-instance state with
     # insertion-ordered, deterministic iteration.
     state = _LeanPrivateState(config)
-    l1_pf, l2_pf = make_prefetcher(config.prefetcher)
-    l1_observe = l1_pf.observe
-    l2_observe = l2_pf.observe
-    klass = [0] * n
-    op_start = [0]
+    # A disabled prefetcher is skipped rather than called: its observe()
+    # builds an empty list on every access, L1 hits included.
+    l1_observe, l2_observe = (
+        None if isinstance(pf, NullPrefetcher) else pf.observe
+        for pf in make_prefetcher(config.prefetcher))
+    # A bytearray takes item stores at list speed and becomes the uint8
+    # column without a copy.
+    klass = bytearray(n)
+    # One (access, block, kind) triple per LLC-bound operation; op_start
+    # is derived from op_access after the walk, so accesses that record
+    # nothing (nearly all of them) cost no bookkeeping.
+    op_access: List[int] = []
     op_block: List[int] = []
     op_kind: List[int] = []
+    add_access = op_access.append
     add_block = op_block.append
     add_kind = op_kind.append
     l1 = state.l1
@@ -322,62 +331,78 @@ def _classify(trace, config: "SystemConfig") -> _Classification:
     l2_mask = state.l2_mask
     l1_fill = state.l1_fill
     l2_fill = state.l2_fill
-    for i, (pc, block, is_write) in enumerate(zip(
-            arrays.pc.tolist(), arrays.block.tolist(),
-            arrays.is_write.tolist())):
+    # PCs are read only by a prefetcher; a memoryview yields them
+    # without converting the column.
+    pcs = memoryview(arrays.pc)
+    for i, (block, is_write) in enumerate(zip(
+            arrays.block.tolist(), arrays.is_write.tolist())):
         line_map = l1[block & l1_mask]
-        l1_hit = block in line_map
-        if l1_hit:
+        if block in line_map:
             # L1 hit: refresh recency; writes set (never clear) dirty.
             line_map.move_to_end(block)
             if is_write:
                 line_map[block] = True
-        for candidate in l1_observe(pc, block, l1_hit):
-            # Reference _issue_prefetch(..., "l1").
-            if candidate in l1[candidate & l1_mask]:
+            if l1_observe is None:
                 continue
-            evicted: Tuple[int, ...] = ()
-            if candidate not in l2_map[candidate & l2_mask]:
-                add_block(candidate)
-                add_kind(OP_PREFETCH)
-                evicted = l2_fill(candidate, False)
-            for wb_block in evicted + l1_fill(candidate, False):
-                add_block(wb_block)
-                add_kind(OP_PREFETCH_WRITEBACK)
-        if not l1_hit:
-            set_idx = block & l2_mask
-            way = l2_map[set_idx].get(block)
-            if way is not None:
-                state.l2_rrpv[set_idx][way] = 0
-                if is_write:
-                    state.l2_dirty[set_idx][way] = True
-            for candidate in l2_observe(pc, block, way is not None):
+            l1_hit = True
+        else:
+            l1_hit = False
+        if l1_observe is not None:
+            for candidate in l1_observe(pcs[i], block, l1_hit):
+                # Reference _issue_prefetch(..., "l1").
+                if candidate in l1[candidate & l1_mask]:
+                    continue
+                evicted: Tuple[int, ...] = ()
+                if candidate not in l2_map[candidate & l2_mask]:
+                    add_access(i)
+                    add_block(candidate)
+                    add_kind(OP_PREFETCH)
+                    evicted = l2_fill(candidate, False)
+                for wb_block in evicted + l1_fill(candidate, False):
+                    add_access(i)
+                    add_block(wb_block)
+                    add_kind(OP_PREFETCH_WRITEBACK)
+            if l1_hit:
+                continue
+        set_idx = block & l2_mask
+        way = l2_map[set_idx].get(block)
+        if way is not None:
+            state.l2_rrpv[set_idx][way] = 0
+            if is_write:
+                state.l2_dirty[set_idx][way] = True
+        if l2_observe is not None:
+            for candidate in l2_observe(pcs[i], block,
+                                         way is not None):
                 # Reference _issue_prefetch(..., "l2").
                 if candidate not in l2_map[candidate & l2_mask]:
+                    add_access(i)
                     add_block(candidate)
                     add_kind(OP_PREFETCH)
                     for wb_block in l2_fill(candidate, False):
+                        add_access(i)
                         add_block(wb_block)
                         add_kind(OP_PREFETCH_WRITEBACK)
-            if way is not None:
-                klass[i] = 1
-                evicted = l1_fill(block, is_write)
-            else:
-                klass[i] = 2
-                # Reference order: fill L2 first, then L1 (each may
-                # chain a dirty eviction down to the LLC).
-                evicted = l2_fill(block, is_write)
-                evicted += l1_fill(block, is_write)
-            for wb_block in evicted:
-                add_block(wb_block)
-                add_kind(OP_DEMAND_WRITEBACK)
-        op_start.append(len(op_block))
+        if way is not None:
+            klass[i] = 1
+            evicted = l1_fill(block, is_write)
+        else:
+            klass[i] = 2
+            # Reference order: fill L2 first, then L1 (each may chain a
+            # dirty eviction down to the LLC).
+            evicted = l2_fill(block, is_write)
+            evicted += l1_fill(block, is_write)
+        for wb_block in evicted:
+            add_access(i)
+            add_block(wb_block)
+            add_kind(OP_DEMAND_WRITEBACK)
     product = _Classification()
-    product.klass = klass = np.array(klass, dtype=np.uint8)
-    product.op_start = np.array(op_start, dtype=np.int32)
+    product.klass = klass = np.frombuffer(klass, dtype=np.uint8)
+    product.op_start = op_start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(np.array(op_access, dtype=np.int64),
+                          minlength=n), out=op_start[1:])
     product.op_block = np.array(op_block, dtype=np.int64)
     product.op_kind = np.array(op_kind, dtype=np.uint8)
-    has_ops = product.op_start[1:] != product.op_start[:-1]
+    has_ops = op_start[1:] != op_start[:-1]
     product.vec_ok = ((klass == 0) & ~has_ops & ~arrays.dependent
                       & (arrays.instr_gap >= 0))
     return product

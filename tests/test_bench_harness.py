@@ -8,7 +8,8 @@ CI ``bench-smoke`` job (``python -m repro.bench --smoke --check``).
 import json
 
 from repro.bench import (BENCH_SCHEMA_VERSION, REGRESSION_TOLERANCE,
-                         check_against_baseline, merge_mode_payload)
+                         ROW_TOLERANCE, check_against_baseline,
+                         merge_mode_payload)
 
 
 def baseline(vector_norm=8.0, reference_norm=1.0, sweep_norm=1.5):
@@ -101,7 +102,7 @@ class TestCheckAgainstBaseline:
 
     def test_rows_are_combined_by_geometric_mean(self):
         """One noisy row does not trip the gate on its own; a large
-        drop of one row does."""
+        drop of one row drags the mean below the floor too."""
         noisy = unit_row(vector=8.0 * 0.8)
         sweep = {"reference_norm": 1.5, "vector_norm": 1.5}
         assert check_against_baseline(baseline(), "smoke", noisy,
@@ -109,11 +110,33 @@ class TestCheckAgainstBaseline:
         collapsed = unit_row(vector=8.0 * 0.5)
         problems = check_against_baseline(baseline(), "smoke", collapsed,
                                           sweep)
-        assert len(problems) == 1
+        assert len(problems) == 2
+        assert "geometric mean" in problems[0]
         assert "unit/hot_loop 0.50x" in problems[0]
+
+    def test_one_row_regression_cannot_hide_in_the_mean(self):
+        """A drop confined to the sweep row passes the geometric mean
+        over three rows but not the per-row floor."""
+        base = baseline()
+        base["modes"]["smoke"]["unit"]["mcf"] = {"reference_norm": 1.0,
+                                                 "vector_norm": 2.0}
+        fresh = {**unit_row(), "mcf": {"reference_norm": 1.0,
+                                       "vector_norm": 2.0}}
+        sweep = {"reference_norm": 1.5,
+                 "vector_norm": 1.5 * (ROW_TOLERANCE - 0.01)}
+        problems = check_against_baseline(base, "smoke", fresh, sweep)
+        assert len(problems) == 1
+        assert "vector: sweep" in problems[0]
+        assert str(ROW_TOLERANCE) in problems[0]
 
     def test_tolerance_fails_a_thirty_percent_slowdown(self):
         assert 1 / 1.3 < REGRESSION_TOLERANCE < 1.0
+
+    def test_row_floor_sits_below_the_mean_floor(self):
+        """The per-row floor leaves room for single-row noise, which is
+        wider than the mean's, and still fails a row that loses more
+        than 30 % of its throughput."""
+        assert 0.5 < ROW_TOLERANCE <= 0.7 < REGRESSION_TOLERANCE
 
 
 class TestMergeModePayload:
