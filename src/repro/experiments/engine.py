@@ -18,9 +18,11 @@ profile, so scheduling order — serial, any interleaving across a
 process pool, or any pattern of retries — cannot change a single
 result.
 
-``SweepEngine(parallel=False)`` (the default) runs everything in
-process and is numerically identical to the historical serial sweep;
 ``parallel=True`` fans units out over a ``ProcessPoolExecutor``.
+``SweepEngine(parallel=False)`` (the default) runs every unit through
+the same scheduler, as a pool that starts degraded: serial execution
+is the scheduler's in-process tail, the path a broken pool finishes
+on, and is numerically identical to the historical serial sweep.
 Attach a :class:`repro.experiments.resultcache.ResultCache` to skip
 already-computed units across runs: the parent probes the cache before
 dispatching, so a fully warm sweep performs **zero** simulations
@@ -30,11 +32,11 @@ Fault tolerance (docs/robustness.md): every unit runs under a
 :class:`repro.experiments.retry.RetryPolicy` — failed units are
 retried with deterministic exponential backoff, pooled units get a
 wall-clock deadline, a ``BrokenProcessPool`` is survived by respawning
-the pool (and, on repeated breakage, degrading to serial execution),
-and ``SweepEngine.run(resume=...)`` replays a prior manifest + result
-cache so an interrupted sweep skips every completed unit.  The
-:mod:`repro.experiments.faults` injector exercises all of these paths
-deterministically in tests and CI.
+the pool (and, on repeated breakage, degrading to in-process
+execution), and ``SweepEngine.run(resume=...)`` replays a prior
+manifest + result cache so an interrupted sweep skips every completed
+unit.  The :mod:`repro.experiments.faults` injector exercises all of
+these paths deterministically in tests and CI.
 
 Observability (docs/observability.md): every run publishes its whole
 lifecycle — ``sweep_start``, one event per work unit (cache hits
@@ -139,47 +141,34 @@ def _base_config(profile, cores: int) -> SystemConfig:
     return profile.config(cores, "lru", DrishtiConfig.baseline())
 
 
-def _alone_worker(profile, cores: int, mix: MixSpec,
-                  core_index: int) -> float:
-    """Measure IPC_alone for one trace on the baseline LRU system."""
-    base_cfg = _base_config(profile, cores)
-    trace = make_mix_trace(mix, core_index, base_cfg,
-                           profile.scale.accesses_per_core,
-                           seed=profile.seed)
-    return run_alone(base_cfg, trace).ipc[0]
-
-
-def _cell_worker(profile, cores: int, mix: MixSpec, policy: str,
-                 drishti: DrishtiConfig,
-                 alone_ipcs: Dict[str, float]) -> MixResult:
-    """Run one mix together under one policy configuration."""
-    base_cfg = _base_config(profile, cores)
-    traces = make_mix(mix, base_cfg, profile.scale.accesses_per_core,
-                      seed=profile.seed)
-    cfg = profile.config(cores, policy, drishti)
-    return run_mix(cfg, traces, alone_ipc_cache=dict(alone_ipcs))
-
-
 def _pool_alone_unit(profile, task: "_AloneTask",
                      plan: Optional[FaultPlan], label: str,
                      attempt: int) -> float:
-    """One pooled alone-unit attempt (fault injection + measurement).
+    """One pooled alone-unit attempt: fault injection, then IPC_alone
+    for one trace on the baseline LRU system.
 
     Pure by contract (PAR001): the fault plan and parent-assigned
     attempt number arrive as arguments, never from process state.
     """
     maybe_inject(plan, label, attempt)
-    return _alone_worker(profile, task.cores, task.mix, task.core_index)
+    base_cfg = _base_config(profile, task.cores)
+    trace = make_mix_trace(task.mix, task.core_index, base_cfg,
+                           profile.scale.accesses_per_core,
+                           seed=profile.seed)
+    return run_alone(base_cfg, trace).ipc[0]
 
 
 def _pool_cell_unit(profile, task: "_CellTask",
                     alone_ipcs: Dict[str, float],
                     plan: Optional[FaultPlan], label: str,
                     attempt: int) -> MixResult:
-    """One pooled cell-unit attempt (fault injection + simulation)."""
+    """One pooled cell-unit attempt: fault injection, then one mix run
+    together under one policy configuration."""
     maybe_inject(plan, label, attempt)
-    return _cell_worker(profile, task.cores, task.mix, task.policy,
-                        task.drishti, alone_ipcs)
+    traces = make_mix(task.mix, _base_config(profile, task.cores),
+                      profile.scale.accesses_per_core, seed=profile.seed)
+    cfg = profile.config(task.cores, task.policy, task.drishti)
+    return run_mix(cfg, traces, alone_ipc_cache=dict(alone_ipcs))
 
 
 def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
@@ -225,7 +214,7 @@ class _CellTask:
 
 @dataclass
 class _PoolUnit:
-    """Scheduler state for one pooled work unit."""
+    """Scheduler state for one work unit."""
 
     task: object
     label: str
@@ -237,7 +226,8 @@ class _PoolUnit:
 
 @dataclass
 class _PoolContext:
-    """Pool lifecycle shared by both phases of one pooled run."""
+    """Pool lifecycle shared by both phases of one run (a serial run
+    starts degraded, with no pool)."""
 
     workers: int
     respawns_left: int
@@ -324,8 +314,9 @@ class SweepEngine:
     """Schedules the policy sweep's work units.
 
     Args:
-        parallel: fan units out over a process pool (``False`` runs
-            them inline — the byte-for-byte serial fallback).
+        parallel: fan units out over a process pool.  ``False`` runs
+            them through the same scheduler with no pool, on its
+            in-process tail (the byte-for-byte serial path).
         max_workers: pool size; defaults to :func:`available_workers`.
         cache: optional :class:`ResultCache` consulted before and
             updated after every unit.
@@ -369,30 +360,28 @@ class SweepEngine:
         self.last_stats: Optional[SweepStats] = None
 
     # ------------------------------------------------------------------
-    def _keys(self, profile, cores: int):
-        base_cfg = _base_config(profile, cores)
-        return base_cfg.canonical_dict()
-
-    def _alone_key(self, profile, cores: int, mix: MixSpec,
+    def _alone_key(self, profile, base_key: Dict, mix: MixSpec,
                    core_index: int) -> str:
         # (workload spec, core_index, seed) fully determine the trace;
-        # the baseline config carries the geometry it is built against.
+        # the baseline config (*base_key*, its canonical dict, built
+        # once per core count) carries the geometry it is built against.
         # The *resolved* spec dict is keyed alongside the name: two
         # specs sharing a name but differing in any parameter (possible
         # with custom WorkloadSpec.from_dict workloads) must never
         # share an alone-IPC entry.
-        return cache_key("alone", self._keys(profile, cores),
+        return cache_key("alone", base_key,
                          mix.workloads[core_index],
                          mix.workload_spec(core_index).to_dict(),
                          core_index, profile.seed,
                          profile.scale.accesses_per_core)
 
-    def _cell_key(self, profile, cores: int, mix: MixSpec, policy: str,
+    def _cell_key(self, profile, cores: int, base_key: Dict,
+                  mix: MixSpec, policy: str,
                   drishti: DrishtiConfig) -> str:
         cfg = profile.config(cores, policy, drishti)
         # As with _alone_key: key each core's resolved spec dict, not
         # just its workload name.
-        return cache_key("cell", self._keys(profile, cores),
+        return cache_key("cell", base_key,
                          cfg.canonical_dict(), list(mix.workloads),
                          [mix.resolve(w).to_dict() for w in mix.workloads],
                          profile.seed, profile.scale.accesses_per_core)
@@ -440,7 +429,10 @@ class SweepEngine:
         # ---- plan: decompose into deduplicated work units -------------
         alone_plan: Dict[Tuple[int, str], _AloneTask] = {}
         cell_plan: List[Tuple[int, MixSpec, str, str, DrishtiConfig]] = []
+        base_keys: Dict[int, Dict] = {}
         for cores in profile.core_counts:
+            base_key = base_keys[cores] = \
+                _base_config(profile, cores).canonical_dict()
             mixes = profile.mixes(cores)
             matrix.mix_names[cores] = [m.name for m in mixes]
             for mix in mixes:
@@ -452,7 +444,7 @@ class SweepEngine:
                                            spec=mix.resolve(workload))
                     if (cores, tname) not in alone_plan:
                         alone_plan[(cores, tname)] = _AloneTask(
-                            key=self._alone_key(profile, cores, mix,
+                            key=self._alone_key(profile, base_key, mix,
                                                 core_index),
                             cores=cores, trace_name=tname, mix=mix,
                             core_index=core_index,
@@ -495,7 +487,8 @@ class SweepEngine:
         resume_missing = 0
         for cores, mix, label, policy, drishti in cell_plan:
             target = (cores, mix.name, label)
-            key = self._cell_key(profile, cores, mix, policy, drishti)
+            key = self._cell_key(profile, cores, base_keys[cores], mix,
+                                 policy, drishti)
             if key in cell_pending:  # identical workload tuple + config
                 cell_pending[key].targets.append(target)
                 continue
@@ -590,17 +583,9 @@ class SweepEngine:
                                       policy=policy, seed=profile.seed,
                                       wall_seconds=0.0,
                                       metrics=_cell_metrics(value))
-                    if self.parallel and (alone_pending or cell_pending):
-                        stats.workers = workers
-                        self._run_pool(profile, workers, alone_pending,
-                                       list(cell_pending.values()),
-                                       alone_ipcs, cell_results, reporter,
-                                       stats)
-                    else:
-                        self._run_inline(profile, alone_pending,
-                                         list(cell_pending.values()),
-                                         alone_ipcs, cell_results, reporter,
-                                         stats)
+                    self._execute(profile, workers, alone_pending,
+                                  list(cell_pending.values()), alone_ipcs,
+                                  cell_results, reporter, stats)
                 except KeyboardInterrupt:
                     # Flush a durable partial-run record: everything done
                     # so far is already in the manifest/cache, so a later
@@ -642,7 +627,7 @@ class SweepEngine:
         return matrix
 
     # ------------------------------------------------------------------
-    # Retry plumbing (shared by serial, pooled and degraded execution)
+    # Retry plumbing (shared by pooled and in-process attempts)
     # ------------------------------------------------------------------
     def _handle_unit_error(self, label: str, key: str, attempt: int,
                            exc: BaseException,
@@ -666,28 +651,6 @@ class SweepEngine:
                         delay_seconds=round(delay, 6))
         return delay
 
-    def _attempt_serial(self, label: str, key: str, stats: SweepStats,
-                        compute: Callable[[], object],
-                        first_attempt: int = 1):
-        """Run *compute* in-process under the retry policy.
-
-        Returns ``(value, attempts_consumed)``; ``first_attempt`` lets
-        degraded pool units keep the attempt budget they already spent.
-        """
-        attempt = first_attempt - 1
-        while True:
-            attempt += 1
-            try:
-                maybe_inject(self.faults, label, attempt)
-                return compute(), attempt
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                delay = self._handle_unit_error(label, key, attempt,
-                                                exc, stats)
-                if delay > 0:
-                    time.sleep(delay)
-
     @staticmethod
     def _attempt_fields(attempts: int) -> Dict[str, int]:
         """Extra manifest fields for a unit that needed retries (empty
@@ -707,92 +670,13 @@ class SweepEngine:
             out[tname] = alone_ipcs[(cores, tname)]
         return out
 
-    def _run_inline(self, profile, alone_pending: List[_AloneTask],
-                    cell_pending: List[_CellTask],
-                    alone_ipcs: Dict[Tuple[int, str], float],
-                    cell_results: Dict[Tuple[int, str, str], MixResult],
-                    reporter: _UnitReporter,
-                    stats: SweepStats) -> None:
-        """Serial fallback: same units, same seeds, one process.
-
-        Each distinct trace is generated once per core count, keyed by
-        its canonical name, and shared by every unit and every mix that
-        runs it (a heterogeneous mix's ``mcf`` core and the homogeneous
-        ``mcf`` mix's core of the same index are one trace object, so
-        they also share the vector kernel's classification cached on
-        it); a failed unit is retried in place (recomputation is
-        deterministic, so a crash-then-succeed unit yields the exact
-        bytes a fault-free run would).
-        """
-        base_cfgs: Dict[int, SystemConfig] = {}
-        trace_memo: Dict[Tuple[int, str], Trace] = {}
-
-        def traces_for(cores: int, mix: MixSpec) -> List[Trace]:
-            traces = []
-            for core_index, workload in enumerate(mix.workloads):
-                trace_key = (cores, mix_trace_name(
-                    workload, profile.seed, core_index,
-                    spec=mix.resolve(workload)))
-                if trace_key not in trace_memo:
-                    trace_memo[trace_key] = make_mix_trace(
-                        mix, core_index, base_cfgs[cores],
-                        profile.scale.accesses_per_core,
-                        seed=profile.seed)
-                traces.append(trace_memo[trace_key])
-            return traces
-
-        for cores in sorted({t.cores for t in alone_pending} |
-                            {t.cores for t in cell_pending}):
-            base_cfgs[cores] = _base_config(profile, cores)
-
-        for task in alone_pending:
-            unit_started = time.time()
-
-            def compute_alone(task=task):
-                trace = traces_for(task.cores, task.mix)[task.core_index]
-                return run_alone(base_cfgs[task.cores], trace).ipc[0]
-
-            value, attempts = self._attempt_serial(
-                task.label, task.key, stats, compute_alone)
-            alone_ipcs[(task.cores, task.trace_name)] = value
-            self._cache_put(task.key, value)
-            reporter.unit(False, unit="alone", key=task.key,
-                          cores=task.cores, trace=task.trace_name,
-                          seed=profile.seed,
-                          wall_seconds=round(time.time() - unit_started, 6),
-                          metrics={"ipc_alone": value},
-                          **self._attempt_fields(attempts))
-
-        for task in cell_pending:
-            unit_started = time.time()
-
-            def compute_cell(task=task):
-                traces = traces_for(task.cores, task.mix)
-                cfg = profile.config(task.cores, task.policy,
-                                     task.drishti)
-                mix_alone = self._mix_alone_ipcs(profile, task.cores,
-                                                 task.mix, alone_ipcs)
-                return run_mix(cfg, traces, alone_ipc_cache=mix_alone)
-
-            result, attempts = self._attempt_serial(
-                task.label, task.key, stats, compute_cell)
-            for target in task.targets:
-                cell_results[target] = result
-            self._cache_put(task.key, result)
-            reporter.unit(False, unit="cell", key=task.key,
-                          cores=task.cores, mix=task.mix.name,
-                          policy=task.policy, seed=profile.seed,
-                          wall_seconds=round(time.time() - unit_started, 6),
-                          metrics=_cell_metrics(result),
-                          **self._attempt_fields(attempts))
-
     # ------------------------------------------------------------------
-    # Pooled execution
+    # Unit scheduler
     # ------------------------------------------------------------------
     def _respawn_or_degrade(self, ctx: _PoolContext,
                             stats: SweepStats) -> None:
         """The pool broke (or a worker hung past its deadline): spend
-        a respawn if any remain, otherwise fall back to serial
+        a respawn if any remain, otherwise fall back to in-process
         execution for every unit still outstanding."""
         _kill_pool(ctx.pool)
         if ctx.respawns_left > 0:
@@ -809,7 +693,7 @@ class SweepEngine:
     def _pool_phase(self, ctx: _PoolContext, units: List[_PoolUnit],
                     submit_unit: Callable[[ProcessPoolExecutor,
                                            _PoolUnit], Future],
-                    run_serial: Callable[[_PoolUnit], object],
+                    run_inline: Callable[[_PoolUnit], object],
                     finish_unit: Callable[[_PoolUnit, object, float],
                                           None],
                     stats: SweepStats) -> None:
@@ -821,8 +705,9 @@ class SweepEngine:
         ``retry.unit_timeout`` are declared hung (their worker is
         reclaimed by respawning the pool), and ``BrokenProcessPool``
         requeues in-flight casualties without charging their retry
-        budgets.  Once the pool is degraded, everything left runs
-        serially in submission order.
+        budgets.  Once the pool is degraded — a serial run's context
+        starts that way — everything left runs in process, in
+        submission order.
         """
         pending: Deque[_PoolUnit] = deque(units)
         inflight: Dict[Future, _PoolUnit] = {}
@@ -914,98 +799,133 @@ class SweepEngine:
                 requeue_casualties()
                 self._respawn_or_degrade(ctx, stats)
 
-        # Degraded: finish in-process, keeping each unit's remaining
-        # retry budget (recomputation is deterministic, so results are
-        # identical to a healthy pooled run).
+        # In-process tail: each unit keeps the retry budget it already
+        # spent in the pool (none, for a serial run), and a failed
+        # attempt is retried in place — recomputation is deterministic,
+        # so results are identical to a healthy pooled run.
         while pending:
             unit = pending.popleft()
             unit_started = time.monotonic()
-            value, attempts = self._attempt_serial(
-                unit.label, unit.key, stats,
-                lambda unit=unit: run_serial(unit),
-                first_attempt=unit.attempts + 1)
-            unit.attempts = attempts
+            while True:
+                unit.attempts += 1
+                try:
+                    maybe_inject(self.faults, unit.label, unit.attempts)
+                    value = run_inline(unit)
+                    break
+                except Exception as exc:
+                    delay = self._handle_unit_error(
+                        unit.label, unit.key, unit.attempts, exc, stats)
+                    if delay > 0:
+                        time.sleep(delay)
             finish_unit(unit, value, time.monotonic() - unit_started)
 
-    def _run_pool(self, profile, workers: int,
-                  alone_pending: List[_AloneTask],
-                  cell_pending: List[_CellTask],
-                  alone_ipcs: Dict[Tuple[int, str], float],
-                  cell_results: Dict[Tuple[int, str, str], MixResult],
-                  reporter: _UnitReporter,
-                  stats: SweepStats) -> None:
-        """Fan units out over a process pool, alone phase first.
+    def _execute(self, profile, workers: int,
+                 alone_pending: List[_AloneTask],
+                 cell_pending: List[_CellTask],
+                 alone_ipcs: Dict[Tuple[int, str], float],
+                 cell_results: Dict[Tuple[int, str, str], MixResult],
+                 reporter: _UnitReporter,
+                 stats: SweepStats) -> None:
+        """Run every pending unit through the scheduler, alone phase
+        first.
 
-        Per-unit ``wall_seconds`` is submit-to-completion of the
-        *successful* attempt as seen by the parent, so it includes
-        pool queueing — the number a reader wants when judging where
-        a sweep's time went.
+        A parallel run fans units out over a process pool.  A serial
+        run is a context that starts degraded, with no pool, so its
+        units take :meth:`_pool_phase`'s in-process tail in plan order.
+        The in-process tail generates each distinct trace once per core
+        count, keyed by its canonical name, and shares it with every
+        unit and every mix that runs it (a heterogeneous mix's ``mcf``
+        core and the homogeneous ``mcf`` mix's core of the same index
+        are one trace object, so they also share the vector kernel's
+        classification cached on it).
+
+        Per-unit ``wall_seconds`` runs from submission (pooled) or
+        first attempt (in process) to completion of the successful
+        attempt as seen by the parent, so it includes pool queueing
+        and retries — the number a reader wants when judging where a
+        sweep's time went.
         """
-        ctx = _PoolContext(workers=workers,
-                           respawns_left=self.retry.max_pool_respawns,
-                           pool=ProcessPoolExecutor(max_workers=workers))
+        pooled = self.parallel and bool(alone_pending or cell_pending)
+        if pooled:
+            stats.workers = workers
+        ctx = _PoolContext(
+            workers=workers, respawns_left=self.retry.max_pool_respawns,
+            pool=ProcessPoolExecutor(max_workers=workers) if pooled
+            else None,
+            degraded=not pooled)
+        base_cfgs = {cores: _base_config(profile, cores) for cores in
+                     sorted({t.cores for t in alone_pending} |
+                            {t.cores for t in cell_pending})}
+        trace_memo: Dict[Tuple[int, str], Trace] = {}
+
+        def traces_for(cores: int, mix: MixSpec) -> List[Trace]:
+            traces = []
+            for core_index, workload in enumerate(mix.workloads):
+                trace_key = (cores, mix_trace_name(
+                    workload, profile.seed, core_index,
+                    spec=mix.resolve(workload)))
+                if trace_key not in trace_memo:
+                    trace_memo[trace_key] = make_mix_trace(
+                        mix, core_index, base_cfgs[cores],
+                        profile.scale.accesses_per_core,
+                        seed=profile.seed)
+                traces.append(trace_memo[trace_key])
+            return traces
+
+        def submit_alone(pool, unit):
+            return pool.submit(_pool_alone_unit, profile, unit.task,
+                               self.faults, unit.label, unit.attempts)
+
+        def inline_alone(unit):
+            task = unit.task
+            trace = traces_for(task.cores, task.mix)[task.core_index]
+            return run_alone(base_cfgs[task.cores], trace).ipc[0]
+
+        def finish_alone(unit, value, wall):
+            task = unit.task
+            alone_ipcs[(task.cores, task.trace_name)] = value
+            self._cache_put(task.key, value)
+            reporter.unit(False, unit="alone", key=task.key,
+                          cores=task.cores, trace=task.trace_name,
+                          seed=profile.seed, wall_seconds=round(wall, 6),
+                          metrics={"ipc_alone": value},
+                          **self._attempt_fields(unit.attempts))
+
+        def submit_cell(pool, unit):
+            task = unit.task
+            return pool.submit(_pool_cell_unit, profile, task,
+                               self._mix_alone_ipcs(profile, task.cores,
+                                                    task.mix, alone_ipcs),
+                               self.faults, unit.label, unit.attempts)
+
+        def inline_cell(unit):
+            task = unit.task
+            cfg = profile.config(task.cores, task.policy, task.drishti)
+            return run_mix(cfg, traces_for(task.cores, task.mix),
+                           alone_ipc_cache=self._mix_alone_ipcs(
+                               profile, task.cores, task.mix, alone_ipcs))
+
+        def finish_cell(unit, result, wall):
+            task = unit.task
+            for target in task.targets:
+                cell_results[target] = result
+            self._cache_put(task.key, result)
+            reporter.unit(False, unit="cell", key=task.key,
+                          cores=task.cores, mix=task.mix.name,
+                          policy=task.policy, seed=profile.seed,
+                          wall_seconds=round(wall, 6),
+                          metrics=_cell_metrics(result),
+                          **self._attempt_fields(unit.attempts))
+
         try:
-            def submit_alone(pool, unit):
-                return pool.submit(_pool_alone_unit, profile, unit.task,
-                                   self.faults, unit.label,
-                                   unit.attempts)
-
-            def serial_alone(unit):
-                task = unit.task
-                return _alone_worker(profile, task.cores, task.mix,
-                                     task.core_index)
-
-            def finish_alone(unit, value, wall):
-                task = unit.task
-                alone_ipcs[(task.cores, task.trace_name)] = value
-                self._cache_put(task.key, value)
-                reporter.unit(False, unit="alone", key=task.key,
-                              cores=task.cores, trace=task.trace_name,
-                              seed=profile.seed,
-                              wall_seconds=round(wall, 6),
-                              metrics={"ipc_alone": value},
-                              **self._attempt_fields(unit.attempts))
-
-            self._pool_phase(
-                ctx,
-                [_PoolUnit(task=t, label=t.label, key=t.key)
-                 for t in alone_pending],
-                submit_alone, serial_alone, finish_alone, stats)
-
-            def submit_cell(pool, unit):
-                task = unit.task
-                return pool.submit(_pool_cell_unit, profile, task,
-                                   self._mix_alone_ipcs(
-                                       profile, task.cores, task.mix,
-                                       alone_ipcs),
-                                   self.faults, unit.label,
-                                   unit.attempts)
-
-            def serial_cell(unit):
-                task = unit.task
-                return _cell_worker(profile, task.cores, task.mix,
-                                    task.policy, task.drishti,
-                                    self._mix_alone_ipcs(
-                                        profile, task.cores, task.mix,
-                                        alone_ipcs))
-
-            def finish_cell(unit, result, wall):
-                task = unit.task
-                for target in task.targets:
-                    cell_results[target] = result
-                self._cache_put(task.key, result)
-                reporter.unit(False, unit="cell", key=task.key,
-                              cores=task.cores, mix=task.mix.name,
-                              policy=task.policy, seed=profile.seed,
-                              wall_seconds=round(wall, 6),
-                              metrics=_cell_metrics(result),
-                              **self._attempt_fields(unit.attempts))
-
-            self._pool_phase(
-                ctx,
-                [_PoolUnit(task=t, label=t.label, key=t.key)
-                 for t in cell_pending],
-                submit_cell, serial_cell, finish_cell, stats)
+            for tasks, submit, inline, finish in (
+                    (alone_pending, submit_alone, inline_alone,
+                     finish_alone),
+                    (cell_pending, submit_cell, inline_cell, finish_cell)):
+                self._pool_phase(
+                    ctx, [_PoolUnit(task=t, label=t.label, key=t.key)
+                          for t in tasks],
+                    submit, inline, finish, stats)
         except BaseException:
             # Interrupted or failed: don't block on in-flight (possibly
             # hung) workers — reclaim them and let run() flush records.

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import ExperimentProfile
-from repro.experiments.engine import SweepEngine
+from repro.experiments.engine import SweepEngine, _base_config
 from repro.sim.config import ScaleProfile, SystemConfig
 from repro.sim.simulator import Simulator
 from repro.traces.mixes import HOMOGENEOUS, MixSpec, make_mix, mix_trace_name
@@ -382,11 +382,12 @@ class TestTraceIdentity:
         from repro.core.drishti import DrishtiConfig
         engine = SweepEngine(cache=False)
         profile = ExperimentProfile.bench()
+        base = _base_config(profile, 4).canonical_dict()
         mixes = {alpha: self.shadow_mix(alpha)
                  for alpha in (1.1, 1.3)}
-        alone = {alpha: engine._alone_key(profile, 4, mix, 0)
+        alone = {alpha: engine._alone_key(profile, base, mix, 0)
                  for alpha, mix in mixes.items()}
-        cells = {alpha: engine._cell_key(profile, 4, mix, "lru",
+        cells = {alpha: engine._cell_key(profile, 4, base, mix, "lru",
                                          DrishtiConfig.baseline())
                  for alpha, mix in mixes.items()}
         assert alone[1.1] != alone[1.3]
@@ -394,7 +395,7 @@ class TestTraceIdentity:
         # ...and neither collides with the genuine pool workload.
         plain = MixSpec(name="shadow", workloads=("mcf",),
                         kind=HOMOGENEOUS)
-        assert engine._alone_key(profile, 4, plain, 0) not in \
+        assert engine._alone_key(profile, base, plain, 0) not in \
             alone.values()
 
     def test_generation_seed_stays_name_based(self):
