@@ -59,12 +59,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def demand_miss_rate(self) -> float:
-        if self.demand_accesses == 0:
-            return 0.0
-        return self.demand_misses / self.demand_accesses
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return element-wise sum with *other* (for aggregating slices)."""
         merged = CacheStats()

@@ -75,9 +75,6 @@ class FabricStats:
             return 0.0
         return 1000.0 * self.total_accesses / instructions
 
-    def max_instance_accesses(self) -> int:
-        return max(self.per_instance_accesses, default=0)
-
 
 class PredictorFabric:
     """Owns predictor instances and routes lookups/trains to them.

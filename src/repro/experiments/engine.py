@@ -125,12 +125,6 @@ class SweepStats:
     def total_units(self) -> int:
         return self.alone_units + self.cell_units
 
-    @property
-    def cells_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.cell_units / self.wall_seconds
-
 
 # ---------------------------------------------------------------------------
 # Worker functions (module-level so they pickle under multiprocessing).
@@ -147,7 +141,7 @@ def _pool_alone_unit(profile, task: "_AloneTask",
     """One pooled alone-unit attempt: fault injection, then IPC_alone
     for one trace on the baseline LRU system.
 
-    Pure by contract (PAR001): the fault plan and parent-assigned
+    Pure by contract (PAR002): the fault plan and parent-assigned
     attempt number arrive as arguments, never from process state.
     """
     maybe_inject(plan, label, attempt)

@@ -21,7 +21,6 @@ SUP001   suppression comments must still match a finding
 =======  ==========================================================
 SAT001   saturating-counter updates provably clamped or guarded
 UNIT001  no cross-unit arithmetic / magic latency literals
-PAR001   pool-submitted work units are pure (no global state)
 STAT001  no dead telemetry (unpublished / never-reset metrics)
 =======  ==========================================================
 
@@ -41,7 +40,7 @@ EVT001   every event name pinned in ``repro.lint.events_pin``
 =======  ==========================================================
 CKEY001  behaviour-affecting config fields are in the cache key
 CKEY002  cache-key fields are consumed (no spurious misses)
-PAR002   pool work-unit purity, followed through method dispatch
+PAR002   pool-submitted work units are pure (no global state)
 =======  ==========================================================
 
 See ``docs/static-analysis.md`` for rule rationale, suppression
@@ -56,7 +55,6 @@ from repro.lint.engine import (LintResult, ModuleInfo, ProjectContext,
 from repro.lint import determinism as _determinism  # registers DET rules
 from repro.lint import invariants as _invariants    # registers INV rules
 from repro.lint import soundness as _soundness      # SAT001 / UNIT001
-from repro.lint import purity as _purity            # PAR001
 from repro.lint import telemetry as _telemetry      # STAT001
 from repro.lint import suppress_audit as _suppress  # SUP001
 from repro.lint import concurrency as _concurrency  # ASY001/ASY002/LOCK001

@@ -7,7 +7,8 @@ layers, from cheapest to deepest:
 
 * **names** — same-module functions, ``from mod import fn`` bindings
   and ``alias.fn(...)`` attribute calls through the import-alias
-  machinery (shared with PAR001, which imports it from here);
+  machinery (:func:`import_bindings`, shared with the concurrency
+  rules and PAR002's root finder);
 * **constructors** — a call that binds to a project class edges into
   its ``__init__`` (resolved through base classes);
 * **method dispatch via class layout** — receiver types are inferred
@@ -88,9 +89,7 @@ def import_bindings(module: ModuleInfo,
     Returns ``(module_aliases, from_imports)`` where
     ``module_aliases[name]`` is the dotted project/stdlib module bound
     to *name* and ``from_imports[name]`` is ``(module, attr)`` for
-    ``from mod import attr`` bindings.  Canonical home of the logic
-    PAR001 historically owned; :mod:`repro.lint.purity` imports it
-    from here.
+    ``from mod import attr`` bindings.
     """
     aliases: Dict[str, str] = {}
     names: Dict[str, Tuple[str, str]] = {}

@@ -38,9 +38,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from repro.lint.callgraph import import_bindings
 from repro.lint.dataflow import LockSetAnalysis, stmt_facts
 from repro.lint.engine import ModuleInfo, ProjectContext
-from repro.lint.purity import _MUTATING_METHODS, _import_bindings
+from repro.lint.summaries import _MUTATING_METHODS
 from repro.lint.rules import Rule, Violation, register_rule
 
 __all__ = ["AsyncBlockingRule", "LoopAffinityRule", "LockDisciplineRule"]
@@ -144,7 +145,7 @@ class AsyncBlockingRule(Rule):
         if not any(isinstance(n, ast.AsyncFunctionDef)
                    for n in ast.walk(module.tree)):
             return
-        aliases, names = _import_bindings(module, project)
+        aliases, names = import_bindings(module, project)
         for fn in _functions(module.tree):
             if not isinstance(fn, ast.AsyncFunctionDef):
                 continue
@@ -215,7 +216,7 @@ class LoopAffinityRule(Rule):
 
     def check_module(self, module: ModuleInfo,
                      project: ProjectContext) -> Iterator[Violation]:
-        aliases, _ = _import_bindings(module, project)
+        aliases, _ = import_bindings(module, project)
         for cls in ast.walk(module.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -305,7 +306,7 @@ class LockDisciplineRule(Rule):
                      project: ProjectContext) -> Iterator[Violation]:
         if not self._in_scope(module):
             return
-        aliases, _ = _import_bindings(module, project)
+        aliases, _ = import_bindings(module, project)
         for cls in ast.walk(module.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue

@@ -67,9 +67,9 @@ class Rule:
     generators of :class:`Violation`; the engine filters suppressed
     findings.  ``tier`` is ``"contracts"`` for the syntactic AST rules
     (DET/INV/SUP), ``"dataflow"`` for the CFG/dataflow rules
-    (SAT/UNIT/PAR/STAT), ``"concurrency"`` for the thread/async/
+    (SAT/UNIT/STAT), ``"concurrency"`` for the thread/async/
     durability rules (ASY/LOCK/ATOM/EXC/EVT) and ``"interproc"`` for
-    the call-graph/effect-summary rules (CKEY/PAR002).
+    the call-graph/effect-summary rules (CKEY/PAR).
     """
 
     code: str = ""

@@ -8,7 +8,7 @@ caller's transitive summary includes everything its callees may do.
 The summary domain is a join-semilattice: a summary is a set of
 attribute leaf names read (``cfg.drishti.counter_bits`` contributes
 ``{"drishti", "counter_bits"}``) plus a set of external-effect sites
-(env reads, module-global writes, event-bus publishes — the PAR001
+(env reads, module-global writes, event-bus publishes — the PAR002
 effect vocabulary).  Join is set union, so the fixpoint over a cycle
 is the union of the cycle's members; :func:`strongly_connected`
 collapses cycles and yields components callees-first, which makes
@@ -23,10 +23,10 @@ Built on the summaries, three rules:
 * **CKEY002** — a field in ``canonical_dict()`` that no
   simulator-reachable code reads splits the key space for nothing:
   every sweep over that field pays a *spurious miss* per value.
-* **PAR002** — the interprocedural upgrade of PAR001: impure effects
-  (env reads, global writes, bus publishes) anywhere *reachable* from
-  a pool-submitted work unit, including through methods, which the
-  syntactic PAR001 walk cannot follow.
+* **PAR002** — pool-worker purity: impure effects (env reads, global
+  writes, bus publishes) anywhere *reachable* from a pool-submitted
+  work unit, through module-level calls, methods, bound-method hoists
+  and registry dispatch alike.
 
 Deliberate exceptions live in :mod:`repro.lint.ckey_pin`, regenerated
 with ``repro-lint --ckey-pin`` (same contract as ``events_pin``).
@@ -50,16 +50,12 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
-from repro.lint.callgraph import CallGraph, FunctionId
+from repro.lint.callgraph import CallGraph, FunctionId, import_bindings
 from repro.lint.cfg import iter_cfg_nodes
 from repro.lint.ckey_pin import (PINNED_EXCLUDED_FIELDS,
                                  PINNED_UNREAD_FIELDS)
 from repro.lint.dataflow import strongly_connected
 from repro.lint.engine import ModuleInfo, ProjectContext
-from repro.lint.purity import (RESULT_NEUTRAL_ENV_VARS, dotted_ref,
-                               local_names, pool_walk_visited,
-                               store_base, submitted_functions,
-                               _module_scope, _MUTATING_METHODS)
 from repro.lint.rules import Rule, Violation, register_rule
 
 __all__ = ["EffectSite", "FunctionSummary", "SummaryIndex",
@@ -70,6 +66,122 @@ __all__ = ["EffectSite", "FunctionSummary", "SummaryIndex",
 #: scalar reference path and the vectorized kernel are both roots so a
 #: field read by only one backend still counts as behaviour-affecting.
 SIM_ROOT_CLASSES = frozenset({"Simulator", "VectorKernel"})
+
+
+#: Method names that mutate their receiver in place.
+_MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
+    "add", "discard", "update", "setdefault", "appendleft", "sort",
+    "reverse", "write",
+})
+
+#: Environment variables that select between *bit-identical* backends.
+#: Reading one in a pool worker cannot make serial and pooled runs
+#: diverge: every value produces the same simulation result by
+#: construction (the vector kernel is golden-pinned to the reference
+#: path — see :mod:`repro.sim.kernel`).  Only literal-keyed reads are
+#: exempted; a computed key stays flagged.
+RESULT_NEUTRAL_ENV_VARS = frozenset({"REPRO_SIM_KERNEL"})
+
+
+def _module_scope(module: ModuleInfo) -> Set[str]:
+    """Names assigned at module level (the state a worker loses)."""
+    assigned: Set[str] = set()
+    for stmt in module.tree.body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        assigned.add(node.id)
+        elif isinstance(stmt, ast.AnnAssign) and \
+                isinstance(stmt.target, ast.Name):
+            assigned.add(stmt.target.id)
+    return assigned
+
+
+def local_names(fn: ast.AST) -> Set[str]:
+    """Names bound locally inside *fn* (params, stores, loop targets)."""
+    local: Set[str] = set()
+    args = getattr(fn, "args", None)
+    if args is not None:
+        for arg in (list(args.posonlyargs) + list(args.args)
+                    + list(args.kwonlyargs)):
+            local.add(arg.arg)
+        for extra in (args.vararg, args.kwarg):
+            if extra is not None:
+                local.add(extra.arg)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and \
+                isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            for sub in ast.walk(node.target):
+                if isinstance(sub, ast.Name):
+                    local.add(sub.id)
+    return local
+
+
+def store_base(target: ast.expr) -> Optional[str]:
+    """Base name of a subscript/attribute store (``X[k] = v`` /
+    ``X.attr = v``); None for plain name binds (those are local)."""
+    node = target
+    seen_container = False
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        seen_container = True
+        node = node.value
+    if seen_container and isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def dotted_ref(func: ast.expr, aliases: Dict[str, str],
+               from_names: Dict[str, Tuple[str, str]],
+               ) -> Optional[str]:
+    """Fully-qualified dotted name of an attribute chain whose root is
+    an import binding; None when the root is not imported."""
+    parts: List[str] = []
+    node = func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = aliases.get(node.id)
+    if root is None and node.id in from_names:
+        root = ".".join(from_names[node.id])
+    if root is None:
+        return None
+    parts.append(root)
+    parts.reverse()
+    return ".".join(parts)
+
+
+def submitted_functions(module: ModuleInfo,
+                        project: ProjectContext,
+                        ) -> List[Tuple[str, str, ast.Call]]:
+    """``(module_name, function_name, call)`` per ``*.submit(fn, …)``."""
+    out: List[Tuple[str, str, ast.Call]] = []
+    if "submit" not in module.source:  # no submit call: skip two walks
+        return out
+    _aliases, names = import_bindings(module, project)
+    functions = {stmt.name for stmt in module.tree.body
+                 if isinstance(stmt, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))}
+    for node in ast.walk(module.tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "submit" and node.args):
+            continue
+        fn = node.args[0]
+        if not isinstance(fn, ast.Name):
+            continue
+        if fn.id in functions:
+            out.append((module.name, fn.id, node))
+        elif fn.id in names:
+            mod, attr = names[fn.id]
+            if mod in project.by_name:
+                out.append((mod, attr, node))
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,7 +201,7 @@ class FunctionSummary:
 
     #: leaf names of every attribute read (``x.a.b`` -> {"a", "b"}).
     attr_reads: FrozenSet[str]
-    #: PAR001-vocabulary effect sites performed directly by this body.
+    #: PAR002-vocabulary effect sites performed directly by this body.
     effects: Tuple[EffectSite, ...]
 
 
@@ -106,7 +218,7 @@ def _local_summary(module: ModuleInfo, fn: ast.AST,
     they execute: only when the enclosing function runs them.
     """
     aliases, from_names = bindings
-    module_names, _functions = _module_scope(module)
+    module_names = _module_scope(module)
     local = local_names(fn)
     fn_name = getattr(fn, "name", "<fn>")
     reads: Set[str] = set()
@@ -178,7 +290,7 @@ def _local_summary(module: ModuleInfo, fn: ast.AST,
 
 
 def _neutral_env_read(node: ast.Call) -> bool:
-    """Literal-keyed read of a result-neutral variable (see PAR001)."""
+    """Literal-keyed read of a :data:`RESULT_NEUTRAL_ENV_VARS` member."""
     if not node.args:
         return False
     key = node.args[0]
@@ -605,14 +717,19 @@ class CacheKeyMinimalityRule(Rule):
 
 @register_rule
 class DeepPoolPurityRule(Rule):
-    """PAR002: interprocedural purity of pool-submitted work units.
+    """PAR002: pool-submitted work units must be pure.
 
-    PAR001 walks module-level calls syntactically and stops at method
-    boundaries; this rule re-checks every function *reachable* in the
-    call graph from a submitted root, so effects buried in methods
-    (or behind bound-method hoists and registry dispatch) surface.
-    Module-level functions PAR001 already visited are skipped — one
-    finding per effect site, never two rules on one line.
+    The parallel sweep (:class:`repro.experiments.engine.SweepEngine`)
+    promises byte-identical serial and pooled runs, which holds only
+    if nothing a worker runs touches process-global state: module-level
+    writes and closed-over mutation are lost when the worker exits,
+    ``os.environ`` may differ in a worker, and ``repro.obs.events``
+    subscribers registered in the parent never fire there.  Every
+    ``*.submit(fn, …)`` root is resolved to a project function and
+    every function *reachable* from it in the call graph is checked,
+    so effects buried in methods (or behind bound-method hoists and
+    registry dispatch) surface.  Each effect site is reported once,
+    however many roots reach it.
     """
 
     code = "PAR002"
@@ -631,11 +748,8 @@ class DeepPoolPurityRule(Rule):
             return
         graph = project.callgraph()
         index = summary_index(project)
-        shallow = pool_walk_visited(project)
         seen: Set[Tuple[str, int, int, str]] = set()
         for fid in sorted(graph.reachable(roots)):
-            if "." not in fid[1] and fid in shallow:
-                continue
             for site in index.local(fid).effects:
                 key = (site.path, site.line, site.col, site.kind)
                 if key in seen:

@@ -66,9 +66,6 @@ class SimTelemetry:
         """Append one time-series row (called by the simulator)."""
         self.samples.append(row)
 
-    def clear_samples(self) -> None:
-        self.samples.clear()
-
     def __repr__(self) -> str:
         return (f"SimTelemetry(interval={self.sample_interval}, "
                 f"{len(self.samples)} samples, "

@@ -1,12 +1,13 @@
-"""SPP+PPF-like prefetcher (Kim et al. MICRO'16 + Bhatia et al. ISCA'19).
+"""SPP prefetcher behind the ``spp_ppf`` name (Kim et al. MICRO'16).
 
 Signature Path Prefetching chains per-page delta patterns through a
 signature table and walks the most probable path ahead of the demand
-stream; the Perceptron Prefetch Filter rejects low-confidence proposals.
-The behavioural model keeps both stages: a signature→delta correlation
-table with path confidence decay, and a threshold filter trained by
-usefulness feedback, giving the high-accuracy/high-coverage profile the
-paper's Figure 23 attributes to SPP+PPF.
+stream.  The model is a signature→delta correlation table with path
+confidence decay; a path stops when its confidence falls below
+:attr:`SPPPrefetcher.CONFIDENCE_THRESHOLD`.  The Perceptron Prefetch
+Filter of SPP+PPF (Bhatia et al. ISCA'19), which the paper's Figure 23
+pairs with SPP, is not modelled: ``spp_ppf`` (and ``gaze``, which
+reuses this class) runs SPP with no perceptron filter.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def _advance_signature(signature: int, delta: int) -> int:
 
 
 class SPPPrefetcher(Prefetcher):
-    """Signature-path prefetching with a confidence filter."""
+    """Signature-path prefetching with path-confidence throttling."""
 
     name = "spp_ppf"
     PATTERN_TABLE_SIZE = 4096
@@ -37,8 +38,6 @@ class SPPPrefetcher(Prefetcher):
         self._pages: Dict[int, Tuple[int, int]] = {}
         # signature -> {delta: count}
         self._patterns: Dict[int, Dict[int, int]] = {}
-        # Perceptron-filter stand-in: per-signature usefulness bias.
-        self._filter_bias: Dict[int, int] = {}
 
     def _best_delta(self, signature: int) -> Tuple[int, float]:
         table = self._patterns.get(signature)
@@ -47,14 +46,6 @@ class SPPPrefetcher(Prefetcher):
         total = sum(table.values())
         delta, count = max(table.items(), key=lambda kv: kv[1])
         return delta, count / total
-
-    def _filter_ok(self, signature: int) -> bool:
-        return self._filter_bias.get(signature, 0) >= -2
-
-    def feedback_useful(self, signature: int) -> None:
-        """PPF positive training (wired by callers that track usefulness)."""
-        self._filter_bias[signature] = min(
-            8, self._filter_bias.get(signature, 0) + 1)
 
     def observe(self, pc: int, block: int, hit: bool) -> List[int]:
         page = self.page_of(block)
@@ -89,8 +80,6 @@ class SPPPrefetcher(Prefetcher):
             path_conf *= conf * self.PATH_DECAY if conf else 0.0
             if next_delta == 0 or path_conf < self.CONFIDENCE_THRESHOLD:
                 break
-            if not self._filter_ok(path_sig):
-                break
             path_offset += next_delta
             if not 0 <= path_offset < BLOCKS_PER_PAGE:
                 break
@@ -102,4 +91,3 @@ class SPPPrefetcher(Prefetcher):
         super().reset()
         self._pages.clear()
         self._patterns.clear()
-        self._filter_bias.clear()

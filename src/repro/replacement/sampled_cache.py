@@ -110,8 +110,5 @@ class SampledCache:
     def flush(self) -> None:
         self._sets.clear()
 
-    def tracked_sets(self) -> List[int]:
-        return sorted(self._sets)
-
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._sets.values())

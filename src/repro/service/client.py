@@ -14,7 +14,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.service.jobs import default_service_dir
 
@@ -147,15 +147,3 @@ class ServiceClient:
                     f"{timeout}s")
             time.sleep(interval)
 
-    def iter_events(self, job_id: str,
-                    poll_timeout: float = 30.0) -> Iterator[Dict[str, Any]]:
-        """Generator over the job's events until it terminates."""
-        cursor = 0
-        while True:
-            page = self.events(job_id, since=cursor,
-                               timeout=poll_timeout)
-            yield from page["events"]
-            cursor = page["next"]
-            if page["status"] in ("done", "failed", "cancelled") \
-                    and not page["events"]:
-                return

@@ -41,10 +41,6 @@ class CacheConfig:
     def capacity_blocks(self) -> int:
         return self.sets * self.ways
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * 64
-
 
 @dataclass(frozen=True)
 class CoreConfig:

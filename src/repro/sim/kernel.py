@@ -143,8 +143,8 @@ def resolve_kernel(config: "SystemConfig", telemetry=None,
     ineligible config falls back per-feature — ``reasons`` says why.
     """
     if env_value is None:
-        # Literal key on purpose: PAR001 exempts this result-neutral
-        # selector by name (see repro.lint.purity.RESULT_NEUTRAL_ENV_VARS).
+        # Literal key on purpose: PAR002 exempts this result-neutral
+        # selector by name (repro.lint.summaries.RESULT_NEUTRAL_ENV_VARS).
         env_value = os.environ.get("REPRO_SIM_KERNEL")
     requested = env_value if env_value else config.sim_kernel
     if requested not in KERNEL_CHOICES:

@@ -132,7 +132,7 @@ def run_mix(config: SystemConfig, traces: Sequence[Trace],
         # alone_ipc_cache before submitting cell units, so the lazy
         # path only runs in direct serial calls (regression-tested by
         # test_parallel_engine).
-        obs_events.emit("lazy_alone_ipc", traces=missing,  # repro-lint: disable=PAR001
+        obs_events.emit("lazy_alone_ipc", traces=missing,  # repro-lint: disable=PAR002
                         policy=config.llc_policy)
     alone_results: Dict[str, SimulationResult] = {}
     ipc_alone: List[float] = []

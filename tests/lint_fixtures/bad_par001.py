@@ -1,5 +1,7 @@
-"""Known-bad PAR001 corpus: pool-submitted work units that touch
-module-level state (lost in workers, so pooled and serial diverge)."""
+"""Known-bad PAR002 corpus, module-level reach: pool-submitted work
+units whose own bodies touch module-level state (lost in workers, so
+pooled and serial diverge).  ``bad_par002.py`` hides the effect in a
+method instead."""
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,13 +10,13 @@ TOTALS = []
 
 
 def work(x):
-    RESULTS[x] = x * x     # PAR001: module-global subscript write
-    TOTALS.append(x)       # PAR001: mutating call on a module global
+    RESULTS[x] = x * x     # PAR002: module-global subscript write
+    TOTALS.append(x)       # PAR002: mutating call on a module global
     return x * x
 
 
 def helper(x):
-    global TALLY           # PAR001: global declaration (transitive root)
+    global TALLY           # PAR002: global declaration (second root)
     TALLY = x
     return x
 

@@ -1,6 +1,6 @@
-"""Known-bad PAR002 corpus: the impure effect hides inside a method —
-the syntactic PAR001 walk stops at the method boundary, the
-interprocedural summary walk does not."""
+"""Known-bad PAR002 corpus, method reach: the impure effect hides
+inside a method, which only a call-graph walk (not a walk over
+module-level calls) reaches."""
 
 from concurrent.futures import ProcessPoolExecutor
 

@@ -1,5 +1,5 @@
-"""Known-good PAR001 corpus: pure work units — all state is local or
-flows through arguments and return values."""
+"""Known-good PAR002 corpus, module-level reach: pure work units — all
+state is local or flows through arguments and return values."""
 
 from concurrent.futures import ProcessPoolExecutor
 

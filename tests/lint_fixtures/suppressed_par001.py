@@ -1,5 +1,6 @@
-"""Suppression corpus: a module-level cache write inside a work unit,
-silenced inline (single-process fallback path, documented)."""
+"""Suppression corpus: a module-level cache write inside a work unit's
+own body, silenced inline for PAR002 (single-process fallback path,
+documented)."""
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -7,7 +8,7 @@ CACHE = {}
 
 
 def work(x):
-    CACHE[x] = x * x  # repro-lint: disable=PAR001
+    CACHE[x] = x * x  # repro-lint: disable=PAR002
     return x * x
 
 

@@ -51,7 +51,7 @@ class TestRuleFixtures:
         ("bad_inv004.py", "INV004"),
         ("bad_sat001.py", "SAT001"),
         ("bad_unit001.py", "UNIT001"),
-        ("bad_par001.py", "PAR001"),
+        ("bad_par001.py", "PAR002"),
         ("bad_stat001.py", "STAT001"),
     ])
     def test_bad_fixture_trips_only_its_rule(self, fixture, expected):
@@ -191,7 +191,7 @@ class TestEngine:
         assert set(all_rule_codes()) == {"DET001", "DET002", "DET003",
                                          "INV001", "INV002", "INV003",
                                          "INV004",
-                                         "SAT001", "UNIT001", "PAR001",
+                                         "SAT001", "UNIT001",
                                          "STAT001", "SUP001",
                                          "ASY001", "ASY002", "LOCK001",
                                          "ATOM001", "EXC001", "EVT001",
@@ -264,7 +264,7 @@ class TestReporting:
         # Every contracts rule is printed before the dataflow header.
         for code in ("DET001", "INV003"):
             assert out.index(code) < out.index("dataflow:")
-        for code in ("SAT001", "UNIT001", "PAR001", "STAT001"):
+        for code in ("SAT001", "UNIT001", "STAT001"):
             assert out.index(code) > out.index("dataflow:")
 
     def test_cli_json_flag(self, capsys):

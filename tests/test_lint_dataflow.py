@@ -2,8 +2,8 @@
 
 Covers the CFG builder, the forward dataflow engine, the interval
 lattice, the SAT001 boundedness analysis pattern-by-pattern, the
-UNIT001/STAT001/PAR001 rule logic on synthetic modules, the
-pooled-vs-serial divergence regression PAR001 exists to prevent, and
+UNIT001/STAT001/PAR002 rule logic on synthetic modules, the
+pooled-vs-serial divergence regression PAR002 exists to prevent, and
 the runtime sanitizer (``repro.obs.sanitize``).
 """
 
@@ -476,7 +476,7 @@ class TestDeadTelemetryRule:
 
 
 # ---------------------------------------------------------------------------
-# PAR001: the pooled-vs-serial regression
+# PAR002: the pooled-vs-serial regression
 # ---------------------------------------------------------------------------
 
 IMPURE_WORK_UNIT = """
@@ -510,7 +510,7 @@ def load_module_copy(path, name):
 
 class TestPoolPurity:
     def test_planted_impurity_diverges_and_is_detected(self, tmp_path):
-        """The regression PAR001 encodes: a work unit leaning on
+        """The regression PAR002 encodes: a work unit leaning on
         module-level state returns different values serially (one
         accumulating module) than pooled (every worker starts from a
         fresh module copy) — and the lint catches it statically."""
@@ -527,7 +527,7 @@ class TestPoolPurity:
 
         assert serial != pooled  # len(SEEN) drifts only serially
 
-        result = run_lint([target], build_rules(select=["PAR001"]))
+        result = run_lint([target], build_rules(select=["PAR002"]))
         assert not result.ok
         messages = " ".join(v.message for v in result.violations)
         assert "SEEN" in messages
@@ -550,7 +550,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert not result.ok
         assert "TALLY" in result.violations[0].message
 
@@ -565,7 +565,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert not result.ok
         assert "os.environ" in result.violations[0].message
 
@@ -580,7 +580,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert result.ok, [v.render() for v in result.violations]
 
     def test_result_neutral_env_read_is_exempt(self, tmp_path):
@@ -598,7 +598,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert result.ok, [v.render() for v in result.violations]
 
     def test_computed_env_key_stays_flagged(self, tmp_path):
@@ -616,7 +616,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert not result.ok
         assert "os.environ" in result.violations[0].message
 
@@ -631,7 +631,7 @@ class TestPoolPurity:
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """, select=["PAR002"])
         assert not result.ok
         assert "os.environ" in result.violations[0].message
 

@@ -89,11 +89,21 @@ class TestTier4Fixtures:
         result = lint_path(FIXTURES / fixture)
         assert result.ok, [v.render() for v in result.violations]
 
-    def test_par002_does_not_double_report_par001_sites(self):
-        # A module-level impure work unit is PAR001's finding alone;
-        # PAR002 must skip functions the shallow walk already visited.
-        result = lint_path(FIXTURES / "bad_par001.py")
-        assert codes(result) == {"PAR001"}
+    def test_par002_reports_each_module_level_site_once(self):
+        # Three effect sites in the work units' own bodies: a subscript
+        # write, a mutating call and a ``global`` declaration.  Each is
+        # reported once, by PAR002 alone.
+        fixture = FIXTURES / "bad_par001.py"
+        marked = [n for n, text in enumerate(
+            fixture.read_text().splitlines(), start=1)
+            if "# PAR002:" in text]
+        assert len(marked) == 3
+        result = lint_path(fixture)
+        assert codes(result) == {"PAR002"}
+        assert sorted(v.line for v in result.violations) == marked
+        messages = " ".join(v.message for v in result.violations)
+        for name in ("RESULTS", "TOTALS", "TALLY"):
+            assert name in messages
 
 
 # ---------------------------------------------------------------------------

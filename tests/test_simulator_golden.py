@@ -17,6 +17,8 @@ import dataclasses
 
 import pytest
 
+from repro.cache.sliced_llc import SlicedLLC
+from repro.core.drishti import DrishtiConfig
 from repro.sim.config import ScaleProfile, SystemConfig
 from repro.sim.simulator import Simulator
 from repro.traces.mixes import homogeneous_mix, make_mix
@@ -170,3 +172,41 @@ class TestVectorEligibleMultiCoreGolden:
         assert result.llc_stats.writebacks_out == 62
         assert result.noc_messages == 12711
         assert result.noc_avg_latency == 4.999763983950909
+
+
+@pytest.mark.parametrize("kernel", ["auto", "reference"])
+class TestFillLatencyGolden:
+    """4-core Drishti without NOCSTAR: Hawkeye's per-core-global
+    predictor answers over the mesh, so ``Cache.fill`` returns a
+    non-zero latency that ``llc_demand`` charges to demand misses.
+    The other goldens run with zero fill latency throughout."""
+
+    def test_golden_values(self, kernel, monkeypatch):
+        fills = []
+        fill = SlicedLLC.fill
+
+        def counting_fill(self, ctx, slice_id=None):
+            evicted, extra = fill(self, ctx, slice_id)
+            fills.append(extra)
+            return evicted, extra
+
+        monkeypatch.setattr(SlicedLLC, "fill", counting_fill)
+        cfg = SystemConfig.from_profile(
+            4, ScaleProfile.smoke(), llc_policy="hawkeye", seed=5,
+            drishti=DrishtiConfig.without_nocstar(), sim_kernel=kernel)
+        assert cfg.prefetcher == "baseline"
+        traces = make_mix(homogeneous_mix("mcf", 4), cfg, 2000, seed=5)
+        sim = Simulator(cfg, traces)
+        result = sim.run()
+        assert sim.kernel_used == ("vector" if kernel == "auto" else kernel)
+        assert len(fills) == 13766
+        assert sum(1 for extra in fills if extra) == 10296
+        assert sum(fills) == 71658
+        assert result.ipc == [0.42651181417700573, 0.4012561815016209,
+                              0.39320815242940693, 0.43010832011605926]
+        assert result.cycles == [86562.66666666802, 86346.33333333468,
+                                 90402.50000000137, 81333.00000000128]
+        assert result.llc_demand_misses == [1209, 1217, 1327, 1217]
+        assert result.llc_stats.writebacks_out == 134
+        assert result.noc_messages == 38946
+        assert result.noc_avg_latency == 5.004698813742104
